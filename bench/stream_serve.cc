@@ -30,7 +30,6 @@
 #include "serve/net/client.h"
 #include "serve/net/ingest_service.h"
 #include "serve/server.h"
-#include "serve/sharded_server.h"
 #include "serve/wal.h"
 
 namespace {
@@ -206,7 +205,7 @@ ShardResult ReplaySharded(const MultiTenantStream& stream, int shards,
   cfg.tick.warm_start = false;  // cold ticks: shard counts do identical LP work
 
   ShardResult out;
-  serve::ShardedStreamServer server(cfg, shards);
+  serve::StreamServer server(cfg, shards);
   server.Subscribe([&](const serve::TickResult& t) {
     out.total_tick_wall += t.tick_wall_seconds;
     out.total_tick_device += t.detection.lp.simulated_seconds;
@@ -260,7 +259,7 @@ ReshardResult ReplayReshard(const MultiTenantStream& stream, int from, int to,
   out.to = to;
   bool resized = false;
   double wall_before = 0, wall_after = 0;
-  serve::ShardedStreamServer server(cfg, from);
+  serve::StreamServer server(cfg, from);
   server.Subscribe([&](const serve::TickResult& t) {
     if (resized) {
       wall_after += t.tick_wall_seconds;
@@ -662,7 +661,7 @@ int main(int argc, char** argv) {
       "equals a one-shot pipeline run given the\n same initial labels — see "
       "tests/serve_test.cc.)\n");
 
-  // --- Shard scale-out: ShardedStreamServer over a multi-tenant stream ---
+  // --- Shard scale-out: an N-shard StreamServer over a multi-tenant stream ---
   const auto tenants = MakeMultiTenantStream(/*tenants=*/16, flags.scale,
                                              flags.seed);
   std::printf(

@@ -1,6 +1,6 @@
 // Partition assignment shared by the distributed cost model
 // (pipeline::PriceSuperstep) and the live sharded serving layer
-// (serve::ShardedStreamServer). One definition, so the simulated cluster
+// (serve::StreamServer). One definition, so the simulated cluster
 // and the real shard fleet agree on which machine/shard owns an entity.
 //
 // Two layers:

@@ -447,77 +447,39 @@ Status PruneShardCheckpoints(const std::string& dir, int keep,
     return Status::IoError("cannot list checkpoint dir " + dir + ": " +
                            ec.message());
   }
-  // Ticks that still have a manifest, newest first; every shard/coord file
-  // whose tick is not among the `keep` newest manifest ticks goes.
-  std::vector<int64_t> manifest_ticks;
-  std::vector<std::pair<int64_t, std::string>> members;  // (tick, path)
+  // Manifests newest first; the first `keep` that load completely are kept,
+  // and every manifest/shard/coord file whose tick is not among them goes.
+  std::vector<std::pair<int64_t, std::string>> manifests;  // (tick, path)
+  std::vector<std::pair<int64_t, std::string>> members;    // (tick, path)
   for (const auto& entry : it) {
     const std::string name = entry.path().filename().string();
     const int64_t tick = TickOfFileName(name);
     if (tick < 0) continue;
     if (name.rfind("manifest-", 0) == 0) {
-      manifest_ticks.push_back(tick);
+      manifests.emplace_back(tick, entry.path().string());
       members.emplace_back(tick, entry.path().string());
     } else if (name.rfind("shard-", 0) == 0 ||
                name.rfind("coord-", 0) == 0) {
       members.emplace_back(tick, entry.path().string());
     }
   }
-  std::sort(manifest_ticks.rbegin(), manifest_ticks.rend());
+  std::sort(manifests.rbegin(), manifests.rend());
   size_t effective_keep = static_cast<size_t>(std::max(keep, 0));
   if (!wal_dir.empty() && wal::WalDirHasSegments(wal_dir)) {
+    // Surviving WAL segments replay on top of the newest snapshot; it must
+    // outlive them even at keep=0.
     effective_keep = std::max<size_t>(effective_keep, 1);
   }
-  manifest_ticks.resize(std::min(manifest_ticks.size(), effective_keep));
+  std::vector<int64_t> kept_ticks;
+  for (const auto& [tick, path] : manifests) {
+    if (kept_ticks.size() >= effective_keep) break;
+    if (LoadShardedCheckpoint(path).ok()) kept_ticks.push_back(tick);
+  }
   Status first_error = Status::OK();
   for (const auto& [tick, path] : members) {
-    const bool kept = std::find(manifest_ticks.begin(), manifest_ticks.end(),
-                                tick) != manifest_ticks.end();
+    const bool kept = std::find(kept_ticks.begin(), kept_ticks.end(), tick) !=
+                      kept_ticks.end();
     if (kept) continue;
-    if (std::remove(path.c_str()) != 0 && first_error.ok()) {
-      first_error = Status::IoError("cannot delete " + path);
-    }
-  }
-  return first_error;
-}
-
-Status PruneCheckpoints(const std::string& dir, int keep) {
-  return PruneCheckpoints(dir, keep, /*wal_dir=*/"");
-}
-
-Status PruneCheckpoints(const std::string& dir, int keep,
-                        const std::string& wal_dir) {
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir, ec);
-  if (ec) {
-    return Status::IoError("cannot list checkpoint dir " + dir + ": " +
-                           ec.message());
-  }
-  std::vector<std::string> candidates;
-  for (const auto& entry : it) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("checkpoint-", 0) == 0 &&
-        name.size() > 5 && name.substr(name.size() - 5) == ".ckpt") {
-      candidates.push_back(entry.path().string());
-    }
-  }
-  std::sort(candidates.rbegin(), candidates.rend());
-  size_t effective_keep = static_cast<size_t>(std::max(keep, 0));
-  if (!wal_dir.empty() && wal::WalDirHasSegments(wal_dir)) {
-    // Surviving WAL segments replay on top of the newest checkpoint; it
-    // must outlive them even at keep=0.
-    effective_keep = std::max<size_t>(effective_keep, 1);
-  }
-  // Only files that actually load occupy keep slots: a torn newest file
-  // must not shield real state from deletion (or, with keep=1, cause the
-  // only loadable checkpoint to be pruned).
-  Status first_error = Status::OK();
-  size_t kept = 0;
-  for (const std::string& path : candidates) {
-    if (kept < effective_keep && LoadCheckpoint(path).ok()) {
-      ++kept;
-      continue;
-    }
     if (std::remove(path.c_str()) != 0 && first_error.ok()) {
       first_error = Status::IoError("cannot delete " + path);
     }

@@ -52,9 +52,9 @@ struct CheckpointData {
   /// was not running incrementally): entity-sorted parallel arrays mapping
   /// each window entity to its component's label anchor entity, which is
   /// how clean components keep their labels across a kill/restore. The
-  /// union-find itself is not serialized — restore rebuilds it
-  /// deterministically from `edges` (RebuildClean), so the pair round-trips
-  /// the complete persistent incremental state. v1 files load with these
+  /// union-find itself is not serialized — restore rebuilds it, clean,
+  /// from `edges`, so the pair round-trips the complete persistent
+  /// incremental state. v1 files load with these
   /// left empty (first post-restore tick rebuilds from scratch).
   bool has_incremental = false;
   std::vector<graph::VertexId> inc_entities;
@@ -82,34 +82,21 @@ Status SaveCheckpoint(const std::string& path, const CheckpointData& data);
 /// structure, and checksum.
 Result<CheckpointData> LoadCheckpoint(const std::string& path);
 
-/// Filename "checkpoint-<tick padded to 12>.ckpt" used by the server's
-/// periodic snapshots inside checkpoint_dir.
+/// Filename "checkpoint-<tick padded to 12>.ckpt" of a flat single-file
+/// snapshot. The server writes fleet snapshots (below) for every shard
+/// count; flat files are still restored, since existing snapshots on disk
+/// are outside input.
 std::string CheckpointFileName(int64_t tick);
 
-/// Newest *loadable* checkpoint in `dir` (highest tick whose file passes
-/// validation). NotFound when the directory holds none.
+/// Newest *loadable* flat checkpoint in `dir` (highest tick whose file
+/// passes validation). NotFound when the directory holds none.
 Result<std::string> LatestCheckpoint(const std::string& dir);
 
-/// Deletes all but the `keep` newest *loadable* checkpoint files in `dir`
-/// (by name order). Unreadable/torn files never occupy keep slots and are
-/// always deleted, so a directory of garbage converges to empty instead of
-/// shielding it; keep <= 0 deletes every checkpoint file. Best-effort;
-/// returns the first deletion error, if any.
-Status PruneCheckpoints(const std::string& dir, int keep);
-
-/// WAL-aware variant: when `wal_dir` holds any WAL segments, at least one
-/// loadable checkpoint is retained regardless of `keep` — the newest
-/// loadable file is the replay base those segments depend on, and deleting
-/// it would turn an exact recovery into a full-stream replay (or a data
-/// loss if early segments were already pruned).
-Status PruneCheckpoints(const std::string& dir, int keep,
-                        const std::string& wal_dir);
-
 // ---------------------------------------------------------------------------
-// Sharded-fleet checkpoints (serve::ShardedStreamServer)
+// Fleet checkpoints (serve::StreamServer, any shard count)
 // ---------------------------------------------------------------------------
 //
-// A sharded checkpoint is N+2 files: one CheckpointData per shard (that
+// A fleet checkpoint is N+2 files: one CheckpointData per shard (that
 // shard's partitioned window, mirrors included), one coordinator
 // CheckpointData (tick schedule, confirmed-cluster set, warm anchors), and
 // a manifest naming them all. The manifest is written *last* via
@@ -170,12 +157,20 @@ Result<ShardedCheckpoint> LoadShardedCheckpoint(
 /// tick-descending and the first whose entire file set validates wins.
 Result<ShardedCheckpoint> LatestShardedCheckpoint(const std::string& dir);
 
-/// Deletes manifests beyond the `keep` newest, plus every shard/coord file
-/// belonging to a deleted manifest's tick. Best-effort.
+/// Deletes all but the `keep` newest *fully loadable* fleet snapshots in
+/// `dir`: every other manifest goes, with every shard/coord file of a tick
+/// that has no kept manifest. Unloadable snapshots (torn manifest or
+/// member file) never occupy keep slots and are always deleted, so a
+/// directory of garbage converges to empty instead of shielding it;
+/// keep <= 0 deletes every snapshot. Best-effort; returns the first
+/// deletion error, if any.
 Status PruneShardCheckpoints(const std::string& dir, int keep);
 
-/// WAL-aware variant (same contract as the single-server overload): keeps
-/// at least the newest manifest while `wal_dir` holds WAL segments.
+/// WAL-aware variant: when `wal_dir` holds any WAL segments, at least one
+/// loadable snapshot is retained regardless of `keep` — the newest is the
+/// replay base those segments depend on, and deleting it would turn an
+/// exact recovery into a full-stream replay (or a data loss if early
+/// segments were already pruned).
 Status PruneShardCheckpoints(const std::string& dir, int keep,
                              const std::string& wal_dir);
 

@@ -1,12 +1,11 @@
-// Serving-layer configuration, split into composable policy structs
-// (PR 7 API redesign): streaming concerns group into TickPolicy (cadence,
-// warm-start/incremental mode), ResiliencePolicy (the §4.8 retry and
-// degradation ladders), and CheckpointPolicy (periodic snapshots), so new
-// layers — the network frontend's TenantPolicy lives in serve/net/tenant.h
-// — compose their own policy structs instead of widening one god-struct.
-// ServerConfig embeds one of each plus the cross-cutting members (detection
-// pipeline, seeds, queue bound, telemetry hooks) and is consumed by every
-// serve::Server implementation.
+// Serving-layer configuration, split into composable policy structs:
+// streaming concerns group into TickPolicy (cadence, warm-start/incremental
+// mode), ResiliencePolicy (the §4.8 retry and degradation ladders), and
+// CheckpointPolicy (periodic snapshots), so new layers — the network
+// frontend's TenantPolicy lives in serve/net/tenant.h — compose their own
+// policy structs instead of widening one god-struct. ServerConfig embeds
+// one of each plus the cross-cutting members (detection pipeline, seeds,
+// queue bound, telemetry hooks) and is consumed by serve::StreamServer.
 
 #pragma once
 
@@ -142,7 +141,7 @@ struct DurabilityPolicy {
 };
 
 /// Elastic resharding (DESIGN.md §4.14). Fleet resizes always go through
-/// Server::Resize — this policy only decides whether the sharded server
+/// Server::Resize — this policy only decides whether the server
 /// *initiates* them itself from shard heat. The heat signal is the
 /// in-window routed edge count per shard (mirrors included — they are
 /// real per-tick work), sampled after each successful tick; per-shard
@@ -171,10 +170,9 @@ struct ReshardPolicy {
   }
 };
 
-/// Streaming-server configuration, consumed by every serve::Server
-/// implementation. Composes the pipeline's unified PipelineConfig (and
-/// through it the lp::RunConfig the engines consume) plus one policy struct
-/// per serving concern.
+/// Streaming-server configuration. Composes the pipeline's unified
+/// PipelineConfig (and through it the lp::RunConfig the engines consume)
+/// plus one policy struct per serving concern.
 struct ServerConfig {
   /// Per-tick detection parameters: window length, engine/variant, the
   /// embedded lp::RunConfig (iterations, seed, stop_when_stable), cluster
@@ -216,65 +214,6 @@ struct ServerConfig {
   /// via obs::HttpEndpoint. Not owned; must outlive the server, and the
   /// pool (it registers a collector polling the pool's queue depth).
   obs::MetricRegistry* metrics = nullptr;
-
-  // —— Deprecated flat aliases (kept one PR) ——
-  // PR 7 split the flat fields into the policy structs above; these
-  // reference-returning shims keep old spellings compiling modulo added
-  // parentheses (`cfg.tick_every_days() = 2`). New code uses the structs.
-  [[deprecated("use tick.every_days")]] double& tick_every_days() {
-    return tick.every_days;
-  }
-  [[deprecated("use tick.warm_start")]] bool& warm_start() {
-    return tick.warm_start;
-  }
-  [[deprecated("use tick.incremental")]] bool& incremental() {
-    return tick.incremental;
-  }
-  [[deprecated("use tick.cold_refresh_every_ticks")]] int64_t&
-  cold_refresh_every_ticks() {
-    return tick.cold_refresh_every_ticks;
-  }
-  [[deprecated("use resilience.tick_deadline_seconds")]] double&
-  tick_deadline_seconds() {
-    return resilience.tick_deadline_seconds;
-  }
-  [[deprecated("use resilience.degraded_iteration_cap")]] int&
-  degraded_iteration_cap() {
-    return resilience.degraded_iteration_cap;
-  }
-  [[deprecated("use resilience.max_tick_retries")]] int& max_tick_retries() {
-    return resilience.max_tick_retries;
-  }
-  [[deprecated("use resilience.retry_backoff_ms")]] double&
-  retry_backoff_ms() {
-    return resilience.retry_backoff_ms;
-  }
-  [[deprecated("use resilience.max_retry_backoff_ms")]] double&
-  max_retry_backoff_ms() {
-    return resilience.max_retry_backoff_ms;
-  }
-  [[deprecated("use resilience.enable_engine_fallback")]] bool&
-  enable_engine_fallback() {
-    return resilience.enable_engine_fallback;
-  }
-  [[deprecated("use resilience.fallback_engine")]] lp::EngineKind&
-  fallback_engine() {
-    return resilience.fallback_engine;
-  }
-  [[deprecated("use resilience.entity_id_limit")]] graph::VertexId&
-  entity_id_limit() {
-    return resilience.entity_id_limit;
-  }
-  [[deprecated("use checkpoint.dir")]] std::string& checkpoint_dir() {
-    return checkpoint.dir;
-  }
-  [[deprecated("use checkpoint.every_ticks")]] int64_t&
-  checkpoint_every_ticks() {
-    return checkpoint.every_ticks;
-  }
-  [[deprecated("use checkpoint.keep")]] int& checkpoint_keep() {
-    return checkpoint.keep;
-  }
 };
 
 }  // namespace glp::serve

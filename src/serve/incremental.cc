@@ -60,11 +60,6 @@ void IncrementalTracker::Touch(VertexId e) {
   ++deg_[e];
 }
 
-bool IncrementalTracker::IsDirty(VertexId entity) {
-  if (!InWindow(entity)) return true;
-  return Marked(Find(entity));
-}
-
 void IncrementalTracker::Canonicalize(
     const std::vector<VertexId>& candidates) {
   for (VertexId e : candidates) {
@@ -150,17 +145,6 @@ void IncrementalTracker::FinishTick() {
   candidates_.clear();
 }
 
-void IncrementalTracker::ApplyDelta(const std::vector<TimedEdge>& edges,
-                                    const WindowDelta& delta) {
-  BeginTick();
-  // Expired edges index the pre-advance window, whose entities are already
-  // in the universe; Append grows it for genuinely new entities.
-  Expire(edges, delta);
-  Rescan(edges, delta);
-  Append(edges, delta);
-  FinishTick();
-}
-
 void IncrementalTracker::BeginRebuild() {
   NewEpoch();
   candidates_.clear();
@@ -191,20 +175,6 @@ void IncrementalTracker::FinishRebuild(bool mark_all_dirty) {
     Canonicalize(candidates_);
   }
   candidates_.clear();
-}
-
-void IncrementalTracker::RebuildAll(const std::vector<TimedEdge>& edges,
-                                    size_t lo, size_t hi) {
-  BeginRebuild();
-  AddWindowRange(edges, lo, hi);
-  FinishRebuild(/*mark_all_dirty=*/true);
-}
-
-void IncrementalTracker::RebuildClean(const std::vector<TimedEdge>& edges,
-                                      size_t lo, size_t hi) {
-  BeginRebuild();
-  AddWindowRange(edges, lo, hi);
-  FinishRebuild(/*mark_all_dirty=*/false);
 }
 
 void IncrementalTracker::ExportDirty(size_t universe,

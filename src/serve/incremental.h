@@ -19,10 +19,10 @@ namespace glp::serve {
 /// \brief Union-find over stream entities, maintained across ticks.
 ///
 /// Presence is tracked by window edge-endpoint degree: an entity with no
-/// window edges is not in any component. Each operation (ApplyDelta /
-/// RebuildAll / RebuildClean) starts a fresh tick epoch and leaves behind
-/// the canonical set of *dirty* component roots — components whose edge
-/// set changed this tick and therefore need LP re-run. The eviction rule:
+/// window edges is not in any component. Each tick (or rebuild) starts a
+/// fresh epoch and leaves behind the canonical set of *dirty* component
+/// roots — components whose edge set changed this tick and therefore need
+/// LP re-run. The eviction rule:
 /// a component that lost any window edge is reset to singletons and
 /// re-unioned from its retained edges (connectivity can only be re-derived,
 /// never decremented); a component touched solely by appended edges is
@@ -33,32 +33,17 @@ namespace glp::serve {
 /// they never change the partition.
 class IncrementalTracker {
  public:
-  /// Applies one exact window advance delta (delta.exact must be true).
-  /// `edges` is the stream's current edge array the delta indexes into.
-  void ApplyDelta(const std::vector<graph::TimedEdge>& edges,
-                  const graph::WindowDelta& delta);
-
-  /// Rebuilds connectivity from scratch over window edges [lo, hi) and
-  /// marks every component dirty — the inexact-delta / fault fallback.
-  void RebuildAll(const std::vector<graph::TimedEdge>& edges, size_t lo,
-                  size_t hi);
-
-  /// Rebuilds connectivity with *nothing* dirty — checkpoint restore,
-  /// where the previous tick's labels are already authoritative.
-  void RebuildClean(const std::vector<graph::TimedEdge>& edges, size_t lo,
-                    size_t hi);
-
   // -------------------------------------------------------------------------
-  // Phased multi-window variants — the sharded fleet feeds one tracker from
-  // N per-shard windows (owned edges plus mirrors; a mirrored copy just
-  // double-counts an endpoint degree, which cancels because both copies
-  // appear and expire together). One tick is
+  // The server feeds one tracker from its N >= 1 shard windows (owned edges
+  // plus mirrors; a mirrored copy just double-counts an endpoint degree,
+  // which cancels because both copies appear and expire together). One
+  // exact tick is
   //   BeginTick -> Expire per window -> Rescan per window -> Append per
   //   window -> FinishTick
-  // and the phase barriers matter: every window's expirations must land
-  // before any retained-edge rescan, or a component spanning shards would
-  // re-derive from only one shard's retained edges. ApplyDelta is exactly
-  // this sequence over a single window.
+  // with each window's exact delta (delta.exact must be true), and the
+  // phase barriers matter: every window's expirations must land before any
+  // retained-edge rescan, or a component spanning shards would re-derive
+  // from only one shard's retained edges.
   // -------------------------------------------------------------------------
 
   void BeginTick();
@@ -74,30 +59,29 @@ class IncrementalTracker {
               const graph::WindowDelta& delta);
   void FinishTick();
 
-  /// Multi-window rebuild: BeginRebuild -> AddWindowRange per window ->
-  /// FinishRebuild. `mark_all_dirty` selects RebuildAll vs RebuildClean
-  /// semantics.
+  /// Rebuild from scratch: BeginRebuild -> AddWindowRange per window ->
+  /// FinishRebuild. `mark_all_dirty` marks every component dirty (the
+  /// inexact-delta / fault fallback); without it nothing is dirty
+  /// (checkpoint restore and resize, where the previous tick's labels are
+  /// already authoritative).
   void BeginRebuild();
   void AddWindowRange(const std::vector<graph::TimedEdge>& edges, size_t lo,
                       size_t hi);
   void FinishRebuild(bool mark_all_dirty);
 
-  /// Writes IsDirty(e) for every entity in [0, universe) into `flags`
-  /// (assigned/resized). One single-threaded pass with path compression, so
+  /// Writes a dirty flag for every entity in [0, universe) into `flags`
+  /// (assigned/resized): 1 when the entity is out of the window or its
+  /// component was dirtied by the last operation. A clean in-window
+  /// entity's component is byte-identical to last tick — the reuse
+  /// licence. One single-threaded pass with path compression, so
   /// concurrent readers of the result never race on Find's path halving —
-  /// the sharded server snapshots this before fanning detection out.
+  /// the server snapshots this before fanning detection out.
   void ExportDirty(size_t universe, std::vector<uint8_t>* flags);
 
   /// True when the entity has at least one edge in the current window.
   bool InWindow(graph::VertexId entity) const {
     return static_cast<size_t>(entity) < deg_.size() && deg_[entity] > 0;
   }
-
-  /// True when the entity left the window, was never seen, or belongs to a
-  /// component dirtied by the last operation. The negation is the reuse
-  /// licence: a clean in-window entity's component is byte-identical to
-  /// last tick.
-  bool IsDirty(graph::VertexId entity);
 
   graph::VertexId Root(graph::VertexId entity) { return Find(entity); }
 

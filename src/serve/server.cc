@@ -4,10 +4,14 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <limits>
+#include <queue>
 #include <thread>
 #include <utility>
 
+#include "graph/builder.h"
 #include "obs/collectors.h"
+#include "pipeline/partition.h"
 #include "serve/checkpoint.h"
 #include "util/failpoint.h"
 #include "util/json.h"
@@ -18,6 +22,7 @@
 namespace glp::serve {
 
 using graph::Label;
+using graph::TimedEdge;
 using graph::VertexId;
 
 namespace {
@@ -36,7 +41,41 @@ bool IsTransient(const Status& s) {
   }
 }
 
+/// Path-halving find over a parent array.
+VertexId Find(std::vector<VertexId>* uf, VertexId x) {
+  while ((*uf)[x] != x) {
+    (*uf)[x] = (*uf)[(*uf)[x]];
+    x = (*uf)[x];
+  }
+  return x;
+}
+
 }  // namespace
+
+void StreamServer::EntityIntern::EnsureUniverse(size_t universe) {
+  if (epoch_of.size() < universe) {
+    epoch_of.assign(universe, 0);
+    local_of.resize(universe);
+    epoch = 0;
+  }
+}
+
+void StreamServer::EntityIntern::Bump() {
+  if (++epoch == 0) {  // stamp wrap
+    std::fill(epoch_of.begin(), epoch_of.end(), 0u);
+    epoch = 1;
+  }
+}
+
+VertexId StreamServer::EntityIntern::Intern(
+    VertexId g, std::vector<VertexId>* entities) {
+  if (epoch_of[g] != epoch) {
+    epoch_of[g] = epoch;
+    local_of[g] = static_cast<VertexId>(entities->size());
+    entities->push_back(g);
+  }
+  return local_of[g];
+}
 
 std::string ServerStats::ToJson() const {
   json::Writer w;
@@ -72,21 +111,47 @@ std::string ServerStats::ToJson() const {
   return w.Take();
 }
 
-StreamServer::StreamServer(ServerConfig config)
-    : config_(std::move(config)),
-      cursor_(&window_, config_.detect.window_days,
-              config_.detect.collapse_window_graphs),
-      sampler_(config_.trace.sample_rate, config_.trace.sample_seed) {
-  if (config_.trace.recorder_ticks > 0) {
-    recorder_ = std::make_unique<obs::FlightRecorder>(
-        static_cast<size_t>(config_.trace.recorder_ticks));
+std::unique_ptr<Server> MakeServer(ServerConfig config, int num_shards) {
+  if (num_shards <= 0) {
+    // A non-positive count is a caller bug (a miscomputed fleet size, an
+    // unparsed flag). Silently serving one shard would mask it; fail
+    // loudly instead.
+    GLP_LOG(Error) << "MakeServer: num_shards must be >= 1, got "
+                   << num_shards;
+    return nullptr;
   }
+  return std::make_unique<StreamServer>(std::move(config), num_shards);
+}
+
+StreamServer::StreamServer(ServerConfig config, int num_shards)
+    : config_(std::move(config)),
+      num_shards_(num_shards),
+      pmap_(std::make_shared<const pipeline::PartitionMap>(num_shards)),
+      sampler_(config_.trace.sample_rate, config_.trace.sample_seed) {
+  // owner_of_ stores shard indices in a byte; 256 shards is far past the
+  // point where per-shard fixed costs dominate anyway.
+  GLP_CHECK(num_shards >= 1 && num_shards <= 256)
+      << "num_shards out of range";
+  windows_.resize(num_shards);
+  shards_.resize(num_shards);
+  owners_.resize(num_shards);
+  for (ShardScratch& s : shards_) s.owner_buckets.resize(num_shards);
+  // Per-shard range cursors for incremental mode. The cursors hold
+  // pointers into windows_, so every operation that resizes windows_ —
+  // restore and live resharding — rebuilds them immediately afterwards.
+  range_cursors_.reserve(num_shards);
+  for (int k = 0; k < num_shards; ++k) {
+    range_cursors_.emplace_back(&windows_[k]);
+  }
+
   if (config_.metrics != nullptr) {
     registry_ = config_.metrics;
   } else {
     owned_registry_ = std::make_unique<obs::MetricRegistry>();
     registry_ = owned_registry_.get();
   }
+  // Fleet-wide instruments behind ServerStats and the JSON dump; the
+  // per-shard families follow below.
   ins_.tick_seconds = registry_->GetHistogram(
       "glp_serve_tick_seconds", "Wall time of one detection tick");
   ins_.warm_ticks = registry_->GetCounter(
@@ -192,11 +257,25 @@ StreamServer::StreamServer(ServerConfig config)
       "glp_serve_wal_epoch", "Current WAL fencing epoch");
   ins_.wal_segments = registry_->GetGauge(
       "glp_serve_wal_segments", "Live WAL segment files");
-  obs::RegisterThreadPoolCollector(
-      registry_,
-      config_.pool != nullptr ? config_.pool : glp::ThreadPool::Default());
-  // Export failpoint fire counts, so a chaos run's injected-fault schedule
-  // is auditable from the same scrape as its effects.
+  ins_.reshards_ok = registry_->GetCounter(
+      "glp_serve_reshards_total", "Fleet resize (migration) attempts",
+      {{"result", "ok"}});
+  ins_.reshards_aborted = registry_->GetCounter(
+      "glp_serve_reshards_total", "Fleet resize (migration) attempts",
+      {{"result", "aborted"}});
+  ins_.num_shards_gauge = registry_->GetGauge(
+      "glp_serve_num_shards", "Live detection shard count");
+  ins_.num_shards_gauge->Set(static_cast<double>(num_shards));
+  ins_.reshard_pause_seconds = registry_->GetHistogram(
+      "glp_serve_reshard_pause_seconds",
+      "Wall time detection was quiesced during a fleet resize");
+  // Per-shard families, one time series per shard via the {shard} label.
+  EnsureShardInstruments(num_shards);
+  if (config_.trace.recorder_ticks > 0) {
+    recorder_ = std::make_unique<obs::FlightRecorder>(
+        static_cast<size_t>(config_.trace.recorder_ticks));
+  }
+  obs::RegisterThreadPoolCollector(registry_, pool());
   registry_->AddCollector([registry = registry_] {
     for (const auto& [point, fires] :
          fail::FailpointRegistry::Global().FireCounts()) {
@@ -208,13 +287,58 @@ StreamServer::StreamServer(ServerConfig config)
   });
 }
 
+void StreamServer::EnsureShardInstruments(int n) {
+  const int old = static_cast<int>(shard_ins_.size());
+  if (n > old) {
+    shard_ins_.resize(n);
+    for (int k = old; k < n; ++k) {
+      const std::string shard = std::to_string(k);
+      shard_ins_[k].tick_seconds = registry_->GetHistogram(
+          "glp_serve_shard_tick_seconds",
+          "Per-owner-shard detection wall time within a tick",
+          {{"shard", shard}});
+      shard_ins_[k].edges_routed = registry_->GetCounter(
+          "glp_serve_shard_edges_routed_total",
+          "Edges routed to their owning shard", {{"shard", shard}});
+      shard_ins_[k].edges_mirrored = registry_->GetCounter(
+          "glp_serve_shard_edges_mirrored_total",
+          "Cross-shard edge copies mirrored into this shard",
+          {{"shard", shard}});
+      shard_ins_[k].window_edges = registry_->GetGauge(
+          "glp_serve_shard_window_edges",
+          "Edges in this shard's window stream (mirrors included)",
+          {{"shard", shard}});
+      shard_ins_[k].components_owned = registry_->GetGauge(
+          "glp_serve_shard_components",
+          "Connected components this shard owned at the last tick",
+          {{"shard", shard}});
+      shard_ins_[k].inwindow_edges = registry_->GetGauge(
+          "glp_serve_shard_inwindow_edges",
+          "In-window edges this shard carried at the last tick (mirrors "
+          "included) — the resharding heat signal",
+          {{"shard", shard}});
+    }
+  }
+  // Shards beyond the live count keep their counters (history survives a
+  // shrink) but report zeroed gauges so dashboards drop the ghost windows.
+  for (int k = n; k < static_cast<int>(shard_ins_.size()); ++k) {
+    shard_ins_[k].window_edges->Set(0);
+    shard_ins_[k].components_owned->Set(0);
+    shard_ins_[k].inwindow_edges->Set(0);
+  }
+}
+
 StreamServer::~StreamServer() { Stop(); }
+
+glp::ThreadPool* StreamServer::pool() const {
+  return config_.pool != nullptr ? config_.pool : glp::ThreadPool::Default();
+}
 
 void StreamServer::Subscribe(Subscriber subscriber) {
   subscribers_.push_back(std::move(subscriber));
 }
 
-Result<StreamServer::RestoreInfo> StreamServer::RestoreFromCheckpoint(
+Result<Server::RestoreInfo> StreamServer::RestoreFromCheckpoint(
     const std::string& path_or_dir) {
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -223,106 +347,198 @@ Result<StreamServer::RestoreInfo> StreamServer::RestoreFromCheckpoint(
           "RestoreFromCheckpoint requires a not-yet-started server");
     }
   }
-  // The WAL opens first: Open() truncates a torn tail (crash mid-append)
-  // and recovers the durable sequence, which recovery below replays on top
-  // of the checkpoint. With no checkpoint at all the WAL alone is a
-  // complete recovery source (replay from an empty window).
+  // Open (and tail-truncate) the WAL before touching checkpoints: a missing
+  // or empty checkpoint dir is recoverable by pure WAL replay from an empty
+  // window, so NotFound is only fatal when there is no WAL either.
   {
     const Status wst = EnsureWalOpen();
     if (!wst.ok()) return wst;
   }
-  // Checkpoints are shape-portable (DESIGN.md §4.14): the portable loader
-  // returns flat files verbatim and re-expresses fleet snapshots (any
-  // shard count) in the flat form, so a sharded deployment can be scaled
-  // down to one shard by restoring its directory here.
+  // Resolve the snapshot source. A same-fleet-shape manifest takes the
+  // exact path (shard windows restored verbatim, mirrors included); any
+  // other shape — more shards, fewer, or a flat single-file checkpoint —
+  // loads through the portable view and is re-partitioned under this
+  // fleet's map (DESIGN.md §4.14).
+  enum class Src { kNone, kFleet, kPortable };
+  Src src = Src::kNone;
+  ShardedCheckpoint cp;
+  PortableCheckpoint port;
   std::error_code ec;
-  bool have_checkpoint = true;
-  CheckpointData data;
-  int source_shards = 1;
-  if (wal_ != nullptr && !std::filesystem::is_directory(path_or_dir, ec) &&
-      !std::filesystem::exists(path_or_dir, ec)) {
-    have_checkpoint = false;
-  } else {
-    auto port = LoadPortableCheckpoint(path_or_dir);
-    if (port.ok()) {
-      PortableCheckpoint p = std::move(port).value();
-      source_shards = p.source_shards;
-      data = std::move(p.data);
-      if (source_shards != 1) {
-        GLP_LOG(Info) << "resharding checkpoint: " << source_shards
-                      << " -> 1 shard";
-      }
-    } else if (wal_ != nullptr &&
-               port.status().code() == StatusCode::kNotFound) {
-      have_checkpoint = false;
+  if (std::filesystem::is_directory(path_or_dir, ec)) {
+    Result<ShardedCheckpoint> latest = LatestShardedCheckpoint(path_or_dir);
+    if (latest.ok() && latest.value().manifest.num_shards == num_shards() &&
+        !LatestCheckpoint(path_or_dir).ok()) {
+      cp = std::move(latest).value();
+      src = Src::kFleet;
     } else {
-      return port.status();
+      // Any other combination — shape mismatch, flat snapshots present
+      // (possibly newer than the manifest), or no manifest at all — the
+      // portable loader picks the newest loadable snapshot across formats.
+      auto p = LoadPortableCheckpoint(path_or_dir);
+      if (p.ok()) {
+        port = std::move(p).value();
+        src = Src::kPortable;
+      } else if (p.status().code() == StatusCode::kNotFound &&
+                 wal_ != nullptr) {
+        src = Src::kNone;  // pure WAL replay from an empty window
+      } else {
+        return p.status();
+      }
+    }
+  } else if (!std::filesystem::exists(path_or_dir, ec) && wal_ != nullptr) {
+    src = Src::kNone;
+  } else if (path_or_dir.size() > 4 &&
+             path_or_dir.substr(path_or_dir.size() - 4) == ".smf") {
+    GLP_ASSIGN_OR_RETURN(cp, LoadShardedCheckpoint(path_or_dir));
+    if (cp.manifest.num_shards == num_shards()) {
+      src = Src::kFleet;
+    } else {
+      GLP_ASSIGN_OR_RETURN(port, LoadPortableCheckpoint(path_or_dir));
+      src = Src::kPortable;
+    }
+  } else {
+    GLP_ASSIGN_OR_RETURN(port, LoadPortableCheckpoint(path_or_dir));
+    src = Src::kPortable;
+  }
+  CheckpointData empty_coord;
+  const CheckpointData* coord = &empty_coord;
+  global_edges_ = 0;
+  warm_anchor_.clear();
+  auto set_warm_anchor = [this](VertexId entity, VertexId anchor) {
+    if (warm_anchor_.size() <= entity) {
+      warm_anchor_.resize(static_cast<size_t>(entity) + 1,
+                          graph::kInvalidVertex);
+    }
+    warm_anchor_[entity] = anchor;
+  };
+  if (src == Src::kFleet) {
+    coord = &cp.coord;
+    // Adopt the snapshot's own partition map (manifest v3; the default
+    // hash map for older files) as the live routing map.
+    const pipeline::PartitionMap cp_map = cp.manifest.PartitionMapOf();
+    for (int k = 0; k < num_shards(); ++k) {
+      for (const TimedEdge& e : cp.shards[k].edges) {
+        // A shard file holds owned edges plus mirrors; only owned copies
+        // count toward the global replay position.
+        if (cp_map.PartOf(e.src) == k) ++global_edges_;
+      }
+      windows_[k] = graph::SlidingWindow(std::move(cp.shards[k].edges));
+    }
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      pmap_ = std::make_shared<const pipeline::PartitionMap>(cp_map);
+    }
+    // Coordinator warm anchors are stored directly as entity→anchor pairs.
+    for (size_t i = 0; i < cp.coord.prev_l2g.size(); ++i) {
+      set_warm_anchor(cp.coord.prev_l2g[i],
+                      static_cast<VertexId>(cp.coord.prev_labels[i]));
+    }
+  } else if (src == Src::kPortable) {
+    coord = &port.data;
+    // Shape-changing restore: re-route the reconstructed global canonical
+    // stream under this fleet's own map. RouteBatch re-derives mirrors, so
+    // the rebuilt shard windows are exactly what an uninterrupted run on
+    // this shape would hold — no edge lost, none duplicated.
+    global_edges_ = port.data.edges.size();
+    RoutedBatch rb = RouteBatch(port.data.edges, *pmap_);
+    for (int k = 0; k < num_shards(); ++k) {
+      windows_[k] = graph::SlidingWindow(std::move(rb.parts[k]));
+    }
+    // Warm anchors arrive in the flat encoding (prev_labels indexes
+    // prev_l2g); re-express them as the entity→anchor map.
+    for (size_t i = 0; i < port.data.prev_l2g.size(); ++i) {
+      const Label pl = port.data.prev_labels[i];
+      if (pl == graph::kInvalidLabel ||
+          static_cast<size_t>(pl) >= port.data.prev_l2g.size()) {
+        continue;
+      }
+      set_warm_anchor(port.data.prev_l2g[i], port.data.prev_l2g[pl]);
+    }
+    if (port.source_shards != num_shards()) {
+      GLP_LOG(Info) << "resharding checkpoint: " << port.source_shards
+                    << " -> " << num_shards() << " shards ("
+                    << global_edges_ << " stream edges re-routed)";
     }
   }
-
-  window_ = graph::SlidingWindow(std::move(data.edges));
-  num_ticks_ = data.tick;
-  tick_schedule_primed_ = data.tick_schedule_primed;
-  next_tick_end_ = data.next_tick_end;
-  have_prev_ = data.have_prev;
-  prev_l2g_ = std::move(data.prev_l2g);
-  prev_labels_ = std::move(data.prev_labels);
+  num_ticks_ = coord->tick;
+  tick_schedule_primed_ = coord->tick_schedule_primed;
+  next_tick_end_ = coord->next_tick_end;
+  have_prev_ = coord->have_prev;
   prev_confirmed_.clear();
-  for (auto& members : data.prev_confirmed) {
-    prev_confirmed_.insert(std::move(members));
+  for (const auto& members : coord->prev_confirmed) {
+    prev_confirmed_.insert(members);
   }
-  last_checkpoint_tick_ = data.tick;
+  last_checkpoint_tick_ = coord->tick;
   last_tick_wall_seconds_ = 0;
   refresh_pending_ = false;
-  // Incremental restore: re-seat the anchors and rebuild the persistent
-  // union-find deterministically from the restored window, primed at the
-  // last completed tick boundary so the first post-restore tick advances by
-  // an exact delta. Cluster records are not checkpointed — that first tick
-  // runs LP dirty-only but extracts over all components (extract_all).
   inc_reuse_ok_ = false;
   records_valid_ = false;
   records_.clear();
-  if (config_.tick.incremental && data.has_incremental && tick_schedule_primed_ &&
-      window_.max_entity() != graph::kInvalidVertex) {
-    const size_t universe = static_cast<size_t>(window_.max_entity()) + 1;
-    anchor_of_.assign(universe, graph::kInvalidVertex);
+  if (config_.tick.incremental && coord->has_incremental &&
+      tick_schedule_primed_) {
+    // Rebuild the fleet union-find from the restored shard windows (clean:
+    // the checkpointed labels are authoritative) and re-prime every shard
+    // range cursor at the last completed tick so the next advance yields an
+    // exact delta. Cluster records are not checkpointed, so the first
+    // post-restore tick extracts all clusters but still reuses clean labels.
+    const double last_end = next_tick_end_ - config_.tick.every_days;
+    const double last_start = last_end - config_.detect.window_days;
+    universe_ = 0;
+    for (const graph::SlidingWindow& w : windows_) {
+      if (w.num_stream_edges() == 0) continue;
+      universe_ =
+          std::max(universe_, static_cast<size_t>(w.max_entity()) + 1);
+    }
+    anchor_of_.assign(universe_, graph::kInvalidVertex);
     bool anchors_ok = true;
-    for (size_t i = 0; i < data.inc_entities.size(); ++i) {
-      if (static_cast<size_t>(data.inc_entities[i]) >= universe ||
-          static_cast<size_t>(data.inc_anchors[i]) >= universe) {
+    for (size_t i = 0; i < coord->inc_entities.size(); ++i) {
+      if (static_cast<size_t>(coord->inc_entities[i]) >= universe_ ||
+          static_cast<size_t>(coord->inc_anchors[i]) >= universe_) {
         anchors_ok = false;
         break;
       }
-      anchor_of_[data.inc_entities[i]] = data.inc_anchors[i];
+      anchor_of_[coord->inc_entities[i]] = coord->inc_anchors[i];
     }
     if (anchors_ok) {
-      cursor_.PrimeAt(next_tick_end_ - config_.tick.every_days);
-      inc_tracker_.RebuildClean(window_.edges(), cursor_.lo(), cursor_.hi());
+      for (int k = 0; k < num_shards_; ++k) {
+        range_cursors_[k].PrimeAt(last_start, last_end);
+        shards_[k].lo = range_cursors_[k].lo();
+        shards_[k].hi = range_cursors_[k].hi();
+      }
+      inc_tracker_.BeginRebuild();
+      for (int k = 0; k < num_shards_; ++k) {
+        inc_tracker_.AddWindowRange(windows_[k].edges(), shards_[k].lo,
+                                    shards_[k].hi);
+      }
+      inc_tracker_.FinishRebuild(/*mark_all_dirty=*/false);
+      RefreshOwnersFromTracker();
       inc_reuse_ok_ = true;
     }
   }
   {
     std::lock_guard<std::mutex> lk(mu_);
-    ingested_max_time_ = data.ingested_max_time;
+    ingested_max_time_ = coord->ingested_max_time;
   }
   RestoreInfo info;
   info.tick = num_ticks_;
-  info.num_edges = window_.num_stream_edges();
-  info.max_time = data.ingested_max_time;
+  info.num_edges = global_edges_;
+  info.max_time = coord->ingested_max_time;
 
-  // WAL replay: everything logged after the checkpoint's covered sequence
-  // re-enters the ingest queue (in sequence order, before Start() lets new
-  // batches in), so the detection thread re-runs the lost ticks through
-  // the normal path — output byte-identical to the uninterrupted run.
-  consumed_wal_seq_ = data.wal_seq;
+  // WAL replay: frames after the checkpoint's covered sequence hold the
+  // pre-routing global batches — re-route each one and re-enqueue, so the
+  // detection thread re-runs the lost ticks through the normal sharded
+  // path, byte-identical to the uninterrupted run.
+  consumed_wal_seq_ = coord->wal_seq;
   if (wal_ != nullptr) {
-    if (data.wal_epoch > 0) {
-      const Status est = wal_->EnsureEpochAtLeast(data.wal_epoch);
+    const uint64_t manifest_epoch = (src == Src::kFleet) ? cp.manifest.epoch : 0;
+    const uint64_t floor_epoch = std::max(coord->wal_epoch, manifest_epoch);
+    if (floor_epoch > 0) {
+      const Status est = wal_->EnsureEpochAtLeast(floor_epoch);
       if (!est.ok()) return est;
     }
-    auto frames = wal_->ReadFrom(data.wal_seq + 1);
+    auto frames = wal_->ReadFrom(coord->wal_seq + 1);
     if (!frames.ok()) return frames.status();
-    uint64_t expected = data.wal_seq + 1;
+    uint64_t expected = coord->wal_seq + 1;
     double max_time = info.max_time;
     size_t replayed = 0;
     for (wal::WalFrame& f : frames.value()) {
@@ -332,24 +548,26 @@ Result<StreamServer::RestoreInfo> StreamServer::RestoreFromCheckpoint(
         // replay would silently skip batches, so refuse instead.
         return Status::IoError(
             "wal: replay gap: checkpoint covers seq " +
-            std::to_string(data.wal_seq) + " but next durable frame is " +
+            std::to_string(coord->wal_seq) + " but next durable frame is " +
             std::to_string(f.seq));
       }
       ++expected;
-      QueuedBatch qb;
-      qb.wal_seq = f.seq;
-      qb.ctx.wal_seq = f.seq;
-      qb.ctx.wal_epoch = f.epoch;
-      qb.ctx.wal_wall_seconds = f.wall_seconds;
-      qb.enqueue_seconds = obs::MonotonicSeconds();
-      for (const graph::TimedEdge& e : f.edges) {
+      for (const TimedEdge& e : f.edges) {
         max_time = std::max(max_time, e.time);
       }
       info.num_edges += f.edges.size();
-      qb.edges = std::move(f.edges);
+      global_edges_ += f.edges.size();
+      // Frames hold the pre-routing global batch, so replay re-routes under
+      // the CURRENT map — the WAL tail follows the fleet across a resize.
+      RoutedBatch rb = RouteBatch(f.edges, *pmap_);
+      rb.wal_seq = f.seq;
+      rb.ctx.wal_seq = f.seq;
+      rb.ctx.wal_epoch = f.epoch;
+      rb.ctx.wal_wall_seconds = f.wall_seconds;
+      rb.enqueue_seconds = obs::MonotonicSeconds();
       {
         std::lock_guard<std::mutex> lk(mu_);
-        queue_.push_back(std::move(qb));
+        queue_.push_back(std::move(rb));
       }
       ++replayed;
     }
@@ -364,10 +582,10 @@ Result<StreamServer::RestoreInfo> StreamServer::RestoreFromCheckpoint(
     PublishWalStats();
   }
   GLP_LOG(Info) << "restored "
-                << (have_checkpoint ? "checkpoint from " + path_or_dir
-                                    : "(no checkpoint)")
-                << " (tick " << info.tick << ", " << info.num_edges
-                << " edges" << (wal_ != nullptr ? ", wal seq " +
+                << (src != Src::kNone ? "checkpoint" : "(no checkpoint)")
+                << " (tick " << info.tick << ", " << num_shards()
+                << " shards, " << info.num_edges << " stream edges"
+                << (wal_ != nullptr ? ", wal seq " +
                 std::to_string(info.wal_seq) : "") << ")";
   return info;
 }
@@ -418,8 +636,8 @@ Status StreamServer::Start() {
 }
 
 bool StreamServer::ValidBatch(
-    const std::vector<graph::TimedEdge>& batch) const {
-  for (const graph::TimedEdge& e : batch) {
+    const std::vector<TimedEdge>& batch) const {
+  for (const TimedEdge& e : batch) {
     if (!std::isfinite(e.time) || e.time < 0) return false;
     if (e.src == graph::kInvalidVertex || e.dst == graph::kInvalidVertex) {
       return false;
@@ -431,6 +649,35 @@ bool StreamServer::ValidBatch(
     }
   }
   return true;
+}
+
+StreamServer::RoutedBatch StreamServer::RouteBatch(
+    const std::vector<TimedEdge>& batch,
+    const pipeline::PartitionMap& map) const {
+  // The owning shard gets every edge whose source maps to it; an edge
+  // with endpoints on two shards is mirrored into the destination's shard
+  // too, so both windows see their full neighborhood. The map is an
+  // explicit parameter (not pmap_) so producers route against a snapshot
+  // outside the lock; rb.map_version lets admission detect a concurrent
+  // resize and re-route.
+  RoutedBatch rb;
+  const int n = map.num_parts();
+  rb.parts.resize(static_cast<size_t>(n));
+  rb.global_edges = batch.size();
+  rb.routed.assign(static_cast<size_t>(n), 0);
+  rb.mirrored.assign(static_cast<size_t>(n), 0);
+  rb.map_version = map.version();
+  for (const TimedEdge& e : batch) {
+    const int ps = map.PartOf(e.src);
+    const int pd = map.PartOf(e.dst);
+    rb.parts[ps].push_back(e);
+    ++rb.routed[ps];
+    if (pd != ps) {
+      rb.parts[pd].push_back(e);
+      ++rb.mirrored[pd];
+    }
+  }
+  return rb;
 }
 
 Status StreamServer::EnsureWalOpen() {
@@ -468,13 +715,10 @@ void StreamServer::PublishWalStats() {
 }
 
 Status StreamServer::AppendToWalLocked(
-    const std::vector<graph::TimedEdge>& batch, const IngestContext& ctx,
-    QueuedBatch* qb) {
+    const std::vector<TimedEdge>& batch, const IngestContext& ctx,
+    RoutedBatch* rb) {
   if (wal_ == nullptr) return Status::OK();
   if (ctx.wal_seq != 0) {
-    // Replication apply: keep the primary's sequence so a promoted standby
-    // has a byte-compatible log. Duplicates and fenced epochs are resolved
-    // by the Wal itself.
     wal::WalFrame frame;
     frame.seq = ctx.wal_seq;
     frame.epoch = ctx.wal_epoch;
@@ -482,7 +726,7 @@ Status StreamServer::AppendToWalLocked(
     frame.edges = batch;
     const Status st = wal_->AppendFrame(frame);
     if (st.ok()) {
-      qb->wal_seq = frame.seq;
+      rb->wal_seq = frame.seq;
       ins_.wal_appends_ok->Increment();
     } else if (st.code() == StatusCode::kAlreadyExists) {
       ins_.wal_duplicates->Increment();
@@ -500,63 +744,25 @@ Status StreamServer::AppendToWalLocked(
     PublishWalStats();
     return seq.status();
   }
-  qb->wal_seq = seq.value();
+  rb->wal_seq = seq.value();
   ins_.wal_appends_ok->Increment();
   PublishWalStats();
   return Status::OK();
 }
 
-bool StreamServer::Ingest(std::vector<graph::TimedEdge> batch,
+bool StreamServer::Ingest(std::vector<TimedEdge> batch,
                           IngestContext ctx) {
-  if (!ValidBatch(batch)) {
-    ins_.batches_rejected_invalid->Increment();
-    return false;
-  }
-  // The serve-queue failpoint: injected Status rejects the batch, injected
-  // latency models a slow producer-side hop. Evaluated outside the lock.
-  const Status inj = fail::Inject("serve.ingest");
-  if (!inj.ok()) {
-    ins_.batches_rejected_failpoint->Increment();
-    return false;
-  }
-  std::unique_lock<std::mutex> lk(mu_);
-  if (!started_ || stopping_ || dead_) return false;
-  if (queue_.size() >= config_.max_queue_batches) {
-    ins_.ingest_blocked->Increment();
-    not_full_cv_.wait(lk, [&] {
-      return stopping_ || dead_ ||
-             queue_.size() < config_.max_queue_batches;
-    });
-    if (stopping_ || dead_) return false;
-  }
-  QueuedBatch qb;
-  if (wal_ != nullptr) {
-    const Status wst = AppendToWalLocked(batch, ctx, &qb);
-    // A replicated duplicate is already logged (and enqueued by the apply
-    // that logged it): ack without enqueueing again.
-    if (wst.code() == StatusCode::kAlreadyExists) return true;
-    if (!wst.ok()) {
-      ins_.batches_dropped->Increment();
-      return false;
-    }
-  }
-  for (const graph::TimedEdge& e : batch) {
-    ingested_max_time_ = std::max(ingested_max_time_, e.time);
-  }
-  ins_.batches_ingested->Increment();
-  ins_.edges_ingested->Increment(batch.size());
-  qb.edges = std::move(batch);
-  qb.ctx = std::move(ctx);
-  qb.enqueue_seconds = obs::MonotonicSeconds();
-  queue_.push_back(std::move(qb));
-  ins_.queue_depth->Set(static_cast<double>(queue_.size()));
-  ins_.queue_peak->Max(static_cast<double>(queue_.size()));
-  queue_cv_.notify_one();
-  return true;
+  return AdmitBatch(std::move(batch), std::move(ctx), /*block=*/true) ==
+         Admit::kAccepted;
 }
 
-Server::Admit StreamServer::TryIngest(std::vector<graph::TimedEdge> batch,
+Server::Admit StreamServer::TryIngest(std::vector<TimedEdge> batch,
                                       IngestContext ctx) {
+  return AdmitBatch(std::move(batch), std::move(ctx), /*block=*/false);
+}
+
+Server::Admit StreamServer::AdmitBatch(std::vector<TimedEdge> batch,
+                                       IngestContext ctx, bool block) {
   if (!ValidBatch(batch)) {
     ins_.batches_rejected_invalid->Increment();
     return Admit::kRejected;
@@ -566,27 +772,59 @@ Server::Admit StreamServer::TryIngest(std::vector<graph::TimedEdge> batch,
     ins_.batches_rejected_failpoint->Increment();
     return Admit::kRejected;
   }
-  std::lock_guard<std::mutex> lk(mu_);
+  double batch_max_time = 0;
+  for (const TimedEdge& e : batch) {
+    batch_max_time = std::max(batch_max_time, e.time);
+  }
+  const size_t batch_edges = batch.size();
+  // Route outside the lock against a snapshot of the live map; a resize
+  // that lands between routing and admission is caught below by the map
+  // version and the batch is re-routed from the (still intact) original.
+  std::shared_ptr<const pipeline::PartitionMap> map;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    map = pmap_;
+  }
+  RoutedBatch rb = RouteBatch(batch, *map);
+  rb.ctx = std::move(ctx);
+  rb.enqueue_seconds = obs::MonotonicSeconds();
+  std::unique_lock<std::mutex> lk(mu_);
   if (!started_ || stopping_ || dead_) return Admit::kStopped;
-  if (queue_.size() >= config_.max_queue_batches) return Admit::kQueueFull;
-  QueuedBatch qb;
+  if (queue_.size() >= config_.max_queue_batches) {
+    if (!block) return Admit::kQueueFull;
+    ins_.ingest_blocked->Increment();
+    not_full_cv_.wait(lk, [&] {
+      return stopping_ || dead_ || queue_.size() < config_.max_queue_batches;
+    });
+    if (stopping_ || dead_) return Admit::kStopped;
+  }
+  if (rb.map_version != pmap_->version()) {
+    RoutedBatch rerouted = RouteBatch(batch, *pmap_);
+    rerouted.ctx = std::move(rb.ctx);
+    rerouted.enqueue_seconds = rb.enqueue_seconds;
+    rb = std::move(rerouted);
+  }
   if (wal_ != nullptr) {
-    const Status wst = AppendToWalLocked(batch, ctx, &qb);
+    // The WAL logs the *pre-routing* wire batch (replay re-routes it).
+    const Status wst = AppendToWalLocked(batch, rb.ctx, &rb);
     if (wst.code() == StatusCode::kAlreadyExists) return Admit::kAccepted;
     if (!wst.ok()) {
       ins_.batches_dropped->Increment();
       return Admit::kRejected;
     }
   }
-  for (const graph::TimedEdge& e : batch) {
-    ingested_max_time_ = std::max(ingested_max_time_, e.time);
-  }
+  ingested_max_time_ = std::max(ingested_max_time_, batch_max_time);
   ins_.batches_ingested->Increment();
-  ins_.edges_ingested->Increment(batch.size());
-  qb.edges = std::move(batch);
-  qb.ctx = std::move(ctx);
-  qb.enqueue_seconds = obs::MonotonicSeconds();
-  queue_.push_back(std::move(qb));
+  ins_.edges_ingested->Increment(batch_edges);
+  for (size_t k = 0; k < rb.routed.size(); ++k) {
+    if (rb.routed[k] != 0) {
+      shard_ins_[k].edges_routed->Increment(rb.routed[k]);
+    }
+    if (rb.mirrored[k] != 0) {
+      shard_ins_[k].edges_mirrored->Increment(rb.mirrored[k]);
+    }
+  }
+  queue_.push_back(std::move(rb));
   ins_.queue_depth->Set(static_cast<double>(queue_.size()));
   ins_.queue_peak->Max(static_cast<double>(queue_.size()));
   queue_cv_.notify_one();
@@ -610,6 +848,7 @@ void StreamServer::Stop() {
     not_full_cv_.notify_all();
     drained_cv_.notify_all();
     checkpoint_done_cv_.notify_all();
+    resize_done_cv_.notify_all();
   }
   if (thread_.joinable()) thread_.join();
   std::lock_guard<std::mutex> lk(mu_);
@@ -632,9 +871,6 @@ void StreamServer::RecordError(const Status& status) {
 }
 
 ServerStats StreamServer::stats() const {
-  // Pure instrument reads — no lock; every source is an atomic in the
-  // registry. Quantiles come from the tick-latency histogram (factor-2
-  // worst-case relative error from the log2 bucketing; monotone in p).
   ServerStats s;
   s.warm_ticks = static_cast<int64_t>(ins_.warm_ticks->Value());
   s.cold_ticks = static_cast<int64_t>(ins_.cold_ticks->Value());
@@ -649,8 +885,7 @@ ServerStats StreamServer::stats() const {
                            ins_.batches_dropped->Value());
   s.ticks_shed = static_cast<int64_t>(ins_.ticks_shed->Value());
   s.degraded_ticks = static_cast<int64_t>(ins_.degraded_ticks->Value());
-  s.deadline_overruns =
-      static_cast<int64_t>(ins_.deadline_overruns->Value());
+  s.deadline_overruns = static_cast<int64_t>(ins_.deadline_overruns->Value());
   s.tick_retries = static_cast<int64_t>(ins_.tick_retries->Value());
   s.ticks_failed = static_cast<int64_t>(ins_.ticks_failed->Value());
   s.engine_fallbacks = static_cast<int64_t>(ins_.engine_fallbacks->Value());
@@ -683,11 +918,10 @@ ServerStats StreamServer::stats() const {
 bool StreamServer::Backoff(int attempt) {
   double ms = config_.resilience.retry_backoff_ms * std::ldexp(1.0, attempt);
   ms = std::min(ms, config_.resilience.max_retry_backoff_ms);
-  const auto until = std::chrono::steady_clock::now() +
-                     std::chrono::duration_cast<
-                         std::chrono::steady_clock::duration>(
-                         std::chrono::duration<double, std::milli>(ms));
-  // Sleep in slices so Stop() stays prompt mid-backoff.
+  const auto until =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double, std::milli>(ms));
   while (std::chrono::steady_clock::now() < until) {
     if (stop_token_.load(std::memory_order_relaxed)) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -697,17 +931,32 @@ bool StreamServer::Backoff(int attempt) {
 
 void StreamServer::DetectLoop() {
   for (;;) {
-    QueuedBatch qb;
+    RoutedBatch rb;
     {
       std::unique_lock<std::mutex> lk(mu_);
       queue_cv_.wait(lk, [&] {
-        return stopping_ || !queue_.empty() || checkpoint_requested_;
+        return stopping_ || !queue_.empty() || checkpoint_requested_ ||
+               resize_requested_ != 0;
       });
       if (stopping_) return;
+      if (queue_.empty() && resize_requested_ != 0) {
+        // Live resize (public Resize): the queue is drained, so detection
+        // state is quiescent — migrate outside the lock and hand the status
+        // back to the blocked caller. Serviced before checkpoints so a
+        // combined request snapshots the new shape.
+        const int target = resize_requested_;
+        lk.unlock();
+        const Status st = MigrateToShardCount(target);
+        lk.lock();
+        resize_requested_ = 0;
+        resize_status_ = st;
+        resize_done_cv_.notify_all();
+        continue;
+      }
       if (queue_.empty()) {
-        // On-demand checkpoint (public WriteCheckpoint): the queue is
-        // drained so the detection-thread state is quiescent; write outside
-        // the lock and hand the status back to the blocked caller.
+        // On-demand checkpoint (public WriteCheckpoint): queue drained, so
+        // the detection-thread state is quiescent; write outside the lock
+        // and hand the status back to the blocked caller.
         lk.unlock();
         const Status st = DoWriteCheckpoint();
         lk.lock();
@@ -716,30 +965,39 @@ void StreamServer::DetectLoop() {
         checkpoint_done_cv_.notify_all();
         continue;
       }
-      qb = std::move(queue_.front());
+      rb = std::move(queue_.front());
       queue_.pop_front();
       ins_.queue_depth->Set(static_cast<double>(queue_.size()));
       busy_ = true;
       not_full_cv_.notify_all();
     }
-    if (qb.wal_seq > consumed_wal_seq_) consumed_wal_seq_ = qb.wal_seq;
-    NoteBatchDequeued(qb, obs::MonotonicSeconds());
-    std::vector<graph::TimedEdge> batch = std::move(qb.edges);
+    // The highest WAL sequence the window now contains — what the next
+    // checkpoint records as its replay floor.
+    if (rb.wal_seq > consumed_wal_seq_) consumed_wal_seq_ = rb.wal_seq;
+    NoteBatchDequeued(rb, obs::MonotonicSeconds());
     bool keep_running = true;
-    // Window append, under the serve.window_append failpoint. The batch is
-    // still in hand on an injected failure, so transient faults retry
-    // exactly; only exhausted retries drop it (counted, recorded).
+    // One serve.window_append evaluation covers the whole routed batch, so
+    // an injected fault leaves either every shard window or none of them
+    // appended — the batch stays in hand for an exact retry.
     obs::ScopedSpan append_span(
-        config_.trace.collect_spans() ? &span_sink_ : nullptr, qb.ctx.trace,
+        config_.trace.collect_spans() ? &span_sink_ : nullptr, rb.ctx.trace,
         "serve.window_append");
-    if (append_span.active()) {
-      append_span.AddLabel("edges", std::to_string(batch.size()));
-    }
+    append_span.AddLabel("edges", std::to_string(rb.global_edges));
     Status append_status;
     for (int attempt = 0;; ++attempt) {
       append_status = fail::Inject("serve.window_append");
       if (append_status.ok()) {
-        window_.Append(std::move(batch));
+        pool()->ParallelFor(
+            0, static_cast<int64_t>(rb.parts.size()),
+            [&](int64_t lo, int64_t hi) {
+              for (int64_t k = lo; k < hi; ++k) {
+                if (!rb.parts[k].empty()) {
+                  windows_[k].Append(std::move(rb.parts[k]));
+                }
+              }
+            },
+            1);
+        global_edges_ += rb.global_edges;
         break;
       }
       if (!IsTransient(append_status) ||
@@ -774,13 +1032,11 @@ void StreamServer::DetectLoop() {
       std::lock_guard<std::mutex> lk(mu_);
       busy_ = false;
       if (!keep_running) {
-        // Fatal: wake every blocked producer and Flush() waiter — they see
-        // dead_ and return false instead of blocking on a queue nobody
-        // will ever drain again.
         dead_ = true;
         not_full_cv_.notify_all();
         drained_cv_.notify_all();
         checkpoint_done_cv_.notify_all();
+        resize_done_cv_.notify_all();
         return;
       }
       if (queue_.empty()) drained_cv_.notify_all();
@@ -789,25 +1045,28 @@ void StreamServer::DetectLoop() {
 }
 
 bool StreamServer::RunDueTicks() {
-  if (window_.num_stream_edges() == 0) return true;
+  if (global_edges_ == 0) return true;
+  // The fleet ticks on one global grid: boundaries derive from the global
+  // min/max timestamp across shards, so the schedule is identical to the
+  // 1-shard server's over the same stream.
+  double min_time = std::numeric_limits<double>::infinity();
+  double max_time = -std::numeric_limits<double>::infinity();
+  for (const graph::SlidingWindow& w : windows_) {
+    if (w.num_stream_edges() == 0) continue;
+    min_time = std::min(min_time, w.min_time());
+    max_time = std::max(max_time, w.max_time());
+  }
   const double cadence = config_.tick.every_days;
   if (!tick_schedule_primed_) {
-    // First boundary strictly after the stream's earliest timestamp, on the
-    // absolute grid k * cadence — replaying the same stream yields the same
-    // tick schedule regardless of batch partitioning.
-    next_tick_end_ =
-        cadence * (std::floor(window_.min_time() / cadence) + 1.0);
+    next_tick_end_ = cadence * (std::floor(min_time / cadence) + 1.0);
     tick_schedule_primed_ = true;
   }
-  while (window_.max_time() >= next_tick_end_) {
+  while (max_time >= next_tick_end_) {
     if (stop_token_.load(std::memory_order_relaxed)) return true;
-    // Degradation ladder step 3: if the last tick blew its deadline and
-    // the stream has already crossed several boundaries, coalesce the
-    // overdue ones into a single tick at the newest due boundary.
     if (config_.resilience.tick_deadline_seconds > 0 &&
         last_tick_wall_seconds_ > config_.resilience.tick_deadline_seconds) {
-      const auto overdue = static_cast<int64_t>(std::floor(
-          (window_.max_time() - next_tick_end_) / cadence));
+      const auto overdue = static_cast<int64_t>(
+          std::floor((max_time - next_tick_end_) / cadence));
       if (overdue > 0) {
         ins_.ticks_shed->Increment(static_cast<uint64_t>(overdue));
         next_tick_end_ += static_cast<double>(overdue) * cadence;
@@ -823,6 +1082,7 @@ bool StreamServer::RunDueTicks() {
         num_ticks_ > last_checkpoint_tick_) {
       (void)DoWriteCheckpoint();
     }
+    if (outcome == TickOutcome::kOk) MaybeAutoReshard();
   }
   return true;
 }
@@ -833,7 +1093,6 @@ Status StreamServer::WriteCheckpoint() {
   }
   std::unique_lock<std::mutex> lk(mu_);
   if (!started_) {
-    // No detection thread: the caller owns the state; write inline.
     lk.unlock();
     return DoWriteCheckpoint();
   }
@@ -847,7 +1106,6 @@ Status StreamServer::WriteCheckpoint() {
     return !checkpoint_requested_ || stopping_ || dead_;
   });
   if (checkpoint_requested_) {
-    // Shutdown or a fatal fault won the race before the write landed.
     checkpoint_requested_ = false;
     return Status::Cancelled("server stopped before checkpoint");
   }
@@ -855,185 +1113,738 @@ Status StreamServer::WriteCheckpoint() {
 }
 
 Status StreamServer::DoWriteCheckpoint() {
-  CheckpointData data;
-  data.tick = num_ticks_;
-  data.tick_schedule_primed = tick_schedule_primed_;
-  data.next_tick_end = next_tick_end_;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    data.ingested_max_time = ingested_max_time_;
+  const int64_t tick = num_ticks_;
+  ShardManifest m;
+  m.tick = tick;
+  m.num_shards = num_shards();
+  m.epoch = wal_ != nullptr ? wal_->epoch() : 0;
+  // Manifest v3 carries the routing map the shard files were cut under, so
+  // a restore reproduces ownership exactly even after live resharding.
+  m.map_version = pmap_->version();
+  m.map_override_keys = pmap_->override_keys();
+  m.map_override_parts = pmap_->override_parts();
+  Status st = Status::OK();
+  // Shard files first (each carries the serve.checkpoint failpoint through
+  // SaveCheckpoint), coordinator next, manifest last: the manifest rename
+  // is the commit point of the fleet snapshot.
+  for (int k = 0; k < num_shards() && st.ok(); ++k) {
+    CheckpointData sd;
+    sd.tick = tick;
+    sd.edges = windows_[k].edges();
+    const std::string name = ShardCheckpointFileName(k, tick);
+    st = SaveCheckpoint(config_.checkpoint.dir + "/" + name, sd);
+    if (st.ok()) m.shard_files.push_back(name);
   }
-  data.edges = window_.edges();
-  data.have_prev = have_prev_;
-  if (have_prev_) {
-    data.prev_l2g = prev_l2g_;
-    data.prev_labels = prev_labels_;
-  }
-  data.prev_confirmed.assign(prev_confirmed_.begin(), prev_confirmed_.end());
-  if (config_.tick.incremental && inc_reuse_ok_) {
-    // Anchors for exactly the previous snapshot's entities, entity-sorted
-    // for deterministic bytes. The union-find itself is rebuilt from the
-    // edge stream on restore.
-    data.has_incremental = true;
-    data.inc_entities = prev_l2g_;
-    std::sort(data.inc_entities.begin(), data.inc_entities.end());
-    data.inc_anchors.reserve(data.inc_entities.size());
-    for (const VertexId e : data.inc_entities) {
-      data.inc_anchors.push_back(anchor_of_[e]);
+  if (st.ok()) {
+    CheckpointData cd;
+    cd.tick = tick;
+    cd.tick_schedule_primed = tick_schedule_primed_;
+    cd.next_tick_end = next_tick_end_;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      cd.ingested_max_time = ingested_max_time_;
     }
+    if (have_prev_) {
+      // The warm anchors serialized as entity-ascending parallel arrays, so
+      // identical state writes identical bytes.
+      for (size_t e = 0; e < warm_anchor_.size(); ++e) {
+        if (warm_anchor_[e] == graph::kInvalidVertex) continue;
+        cd.prev_l2g.push_back(static_cast<VertexId>(e));
+        cd.prev_labels.push_back(warm_anchor_[e]);
+      }
+    }
+    cd.have_prev = !cd.prev_l2g.empty();
+    cd.prev_confirmed.assign(prev_confirmed_.begin(), prev_confirmed_.end());
+    // The coordinator file records the WAL replay floor: every batch at or
+    // below consumed_wal_seq_ is already inside the shard windows above.
+    cd.wal_seq = consumed_wal_seq_;
+    cd.wal_epoch = wal_ != nullptr ? wal_->epoch() : 0;
+    if (config_.tick.incremental && inc_reuse_ok_) {
+      // Anchors for every in-window entity, ascending (deterministic
+      // bytes). The fleet union-find is rebuilt from the shard windows on
+      // restore, same as the single-server tracker.
+      cd.has_incremental = true;
+      for (size_t e = 0; e < universe_; ++e) {
+        if (!inc_tracker_.InWindow(static_cast<VertexId>(e))) continue;
+        cd.inc_entities.push_back(static_cast<VertexId>(e));
+        cd.inc_anchors.push_back(e < anchor_of_.size()
+                                     ? anchor_of_[e]
+                                     : graph::kInvalidVertex);
+      }
+    }
+    m.coord_file = CoordCheckpointFileName(tick);
+    st = SaveCheckpoint(config_.checkpoint.dir + "/" + m.coord_file, cd);
   }
-  data.wal_seq = consumed_wal_seq_;
-  data.wal_epoch = wal_ != nullptr ? wal_->epoch() : 0;
-  const std::string path =
-      config_.checkpoint.dir + "/" + CheckpointFileName(num_ticks_);
-  const Status st = SaveCheckpoint(path, data);
+  if (st.ok()) {
+    st = SaveShardManifest(
+        config_.checkpoint.dir + "/" + ShardManifestFileName(tick), m);
+  }
   if (st.ok()) {
     ins_.checkpoints_ok->Increment();
-    last_checkpoint_tick_ = num_ticks_;
-    // Best-effort: a failed prune never fails the tick. Checkpoint pruning
-    // is WAL-aware (the newest snapshot is the replay base for surviving
-    // segments); WAL segments fully covered by this snapshot go next.
-    (void)PruneCheckpoints(config_.checkpoint.dir, config_.checkpoint.keep,
-                           config_.durability.dir);
+    last_checkpoint_tick_ = tick;
+    (void)PruneShardCheckpoints(config_.checkpoint.dir,
+                                config_.checkpoint.keep,
+                                config_.durability.dir);
     if (wal_ != nullptr) {
-      (void)wal_->PruneThrough(data.wal_seq);
+      // Segments fully covered by this snapshot are dead weight now.
+      (void)wal_->PruneThrough(consumed_wal_seq_);
       PublishWalStats();
     }
   } else {
     ins_.checkpoints_failed->Increment();
-    GLP_LOG(Warning) << "checkpoint at tick " << num_ticks_
+    GLP_LOG(Warning) << "sharded checkpoint at tick " << tick
                      << " failed: " << st.ToString();
   }
   return st;
 }
 
-std::vector<Label> StreamServer::MapWarmLabels(
-    const graph::WindowSnapshot& cur) {
-  const size_t universe = static_cast<size_t>(window_.max_entity()) + 1;
-  auto stamp = [universe](EntityMap* m,
-                          const std::vector<VertexId>& l2g) {
-    if (m->epoch_of.size() < universe) {
-      m->epoch_of.assign(universe, 0);
-      m->local_of.resize(universe);
-      m->epoch = 0;
-    }
-    if (++m->epoch == 0) {
-      std::fill(m->epoch_of.begin(), m->epoch_of.end(), 0u);
-      m->epoch = 1;
-    }
-    for (size_t i = 0; i < l2g.size(); ++i) {
-      m->epoch_of[l2g[i]] = m->epoch;
-      m->local_of[l2g[i]] = static_cast<VertexId>(i);
-    }
-  };
-  stamp(&prev_map_, prev_l2g_);
-  stamp(&cur_map_, cur.local_to_global);
+Status StreamServer::Resize(int new_num_shards) {
+  if (new_num_shards < 1 || new_num_shards > 256) {
+    return Status::InvalidArgument("num_shards out of range [1, 256]: " +
+                                   std::to_string(new_num_shards));
+  }
+  std::unique_lock<std::mutex> lk(mu_);
+  if (!started_) {
+    // Offline resize (before Start, typically right after a restore): the
+    // caller owns the server, migrate inline.
+    lk.unlock();
+    return MigrateToShardCount(new_num_shards);
+  }
+  if (stopping_) return Status::Cancelled("server stopping");
+  if (dead_) {
+    return last_error_.ok() ? Status::Cancelled("server dead") : last_error_;
+  }
+  // Same handshake as WriteCheckpoint: hand the migration to the detection
+  // thread (it runs once the queue drains — the quiesce point) and block
+  // until it commits or aborts.
+  resize_requested_ = new_num_shards;
+  queue_cv_.notify_one();
+  resize_done_cv_.wait(lk, [&] {
+    return resize_requested_ == 0 || stopping_ || dead_;
+  });
+  if (resize_requested_ != 0) {
+    resize_requested_ = 0;
+    return Status::Cancelled("server stopped before resize");
+  }
+  return resize_status_;
+}
 
-  // A label is a local vertex id of the window that produced it (LP never
-  // invents ids). Anchor each carried-over entity's previous label to its
-  // global entity, then re-express it as that entity's local id in the new
-  // window; entities new to the window (or whose anchor left it) start as
-  // cold singletons.
-  std::vector<Label> init(cur.local_to_global.size());
-  for (size_t v = 0; v < cur.local_to_global.size(); ++v) {
-    const VertexId g = cur.local_to_global[v];
-    Label out = static_cast<Label>(v);
-    if (prev_map_.epoch_of[g] == prev_map_.epoch) {
-      const Label pl = prev_labels_[prev_map_.local_of[g]];
-      if (pl != graph::kInvalidLabel &&
-          static_cast<size_t>(pl) < prev_l2g_.size()) {
-        const VertexId anchor = prev_l2g_[pl];
-        if (cur_map_.epoch_of[anchor] == cur_map_.epoch) {
-          out = static_cast<Label>(cur_map_.local_of[anchor]);
+Status StreamServer::MigrateToShardCount(int target) {
+  const int old_n = num_shards();
+  if (target == old_n) return Status::OK();
+  const double t0 = obs::MonotonicSeconds();
+  // Abort point — BEFORE any state is touched, so an injected fault (or a
+  // real failure in the build phase below) leaves the old shape fully
+  // intact and a retry is always safe.
+  {
+    const Status inj = fail::Inject("serve.reshard");
+    if (!inj.ok()) {
+      ins_.reshards_aborted->Increment();
+      GLP_LOG(Warning) << "resize " << old_n << " -> " << target
+                       << " shards aborted: " << inj.ToString();
+      return inj;
+    }
+  }
+  auto new_map = std::make_shared<const pipeline::PartitionMap>(
+      pmap_->Repartitioned(target));
+  // Build the target shape off to the side: reconstruct the global
+  // canonical stream from each shard's owned copies (mirrors skipped, so
+  // every stream edge appears exactly once), then route it under the new
+  // map — exactly the windows an uninterrupted run on `target` shards
+  // would hold.
+  std::vector<TimedEdge> global;
+  global.reserve(global_edges_);
+  for (int k = 0; k < old_n; ++k) {
+    for (const TimedEdge& e : windows_[k].edges()) {
+      if (pmap_->PartOf(e.src) == k) global.push_back(e);
+    }
+  }
+  std::sort(global.begin(), global.end(), graph::CanonicalEdgeLess);
+  RoutedBatch routed = RouteBatch(global, *new_map);
+  std::vector<graph::SlidingWindow> new_windows(static_cast<size_t>(target));
+  for (int k = 0; k < target; ++k) {
+    new_windows[k] = graph::SlidingWindow(std::move(routed.parts[k]));
+  }
+  // Commit: swap the map, count, and windows under mu_, and re-route any
+  // batch still queued under the old map (the offline path — WAL-replay
+  // batches queued by restore; the live path only migrates on an empty
+  // queue). Each queued batch's global edge set is recovered by the same
+  // owned-copy filter, so nothing is lost or duplicated across the swap.
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (RoutedBatch& q : queue_) {
+      if (q.map_version == new_map->version()) continue;
+      std::vector<TimedEdge> batch;
+      batch.reserve(q.global_edges);
+      const int qn = static_cast<int>(q.parts.size());
+      for (int k = 0; k < qn; ++k) {
+        for (const TimedEdge& e : q.parts[k]) {
+          if (pmap_->PartOf(e.src) == k) batch.push_back(e);
         }
       }
+      std::sort(batch.begin(), batch.end(), graph::CanonicalEdgeLess);
+      RoutedBatch nq = RouteBatch(batch, *new_map);
+      nq.ctx = std::move(q.ctx);
+      nq.wal_seq = q.wal_seq;
+      nq.enqueue_seconds = q.enqueue_seconds;
+      q = std::move(nq);
     }
-    init[v] = out;
+    pmap_ = new_map;
+    num_shards_.store(target, std::memory_order_release);
+    windows_ = std::move(new_windows);
+    ins_.num_shards_gauge->Set(static_cast<double>(target));
   }
-  return init;
+  // Rebuild the derived detection-thread structures. range_cursors_ hold
+  // pointers into windows_, which the swap above invalidated.
+  shards_.clear();
+  shards_.resize(static_cast<size_t>(target));
+  for (ShardScratch& s : shards_) {
+    s.owner_buckets.resize(static_cast<size_t>(target));
+  }
+  owners_.clear();
+  owners_.resize(static_cast<size_t>(target));
+  range_cursors_.clear();
+  range_cursors_.reserve(static_cast<size_t>(target));
+  for (int k = 0; k < target; ++k) {
+    range_cursors_.emplace_back(&windows_[k]);
+  }
+  EnsureShardInstruments(target);
+  // Cluster records are owner-bucketed; re-extracting them next tick is
+  // cheap and yields identical clusters (the reuse invariant), so drop the
+  // cache rather than re-derive its bucketing.
+  records_valid_ = false;
+  records_.clear();
+  if (config_.tick.incremental && inc_reuse_ok_ && tick_schedule_primed_) {
+    // Re-prime every cursor at the last completed tick and rebuild the
+    // fleet union-find from the new windows (clean: anchors carry over —
+    // warm anchors and anchor_of_ are global-id state, untouched by the
+    // re-partition), so the next tick still takes the exact delta path.
+    const double last_end = next_tick_end_ - config_.tick.every_days;
+    const double last_start = last_end - config_.detect.window_days;
+    universe_ = 0;
+    for (const graph::SlidingWindow& w : windows_) {
+      if (w.num_stream_edges() == 0) continue;
+      universe_ =
+          std::max(universe_, static_cast<size_t>(w.max_entity()) + 1);
+    }
+    for (int k = 0; k < target; ++k) {
+      range_cursors_[k].PrimeAt(last_start, last_end);
+      shards_[k].lo = range_cursors_[k].lo();
+      shards_[k].hi = range_cursors_[k].hi();
+    }
+    inc_tracker_.BeginRebuild();
+    for (int k = 0; k < target; ++k) {
+      inc_tracker_.AddWindowRange(windows_[k].edges(), shards_[k].lo,
+                                  shards_[k].hi);
+    }
+    inc_tracker_.FinishRebuild(/*mark_all_dirty=*/false);
+    RefreshOwnersFromTracker();
+  }
+  last_reshard_tick_ = num_ticks_;
+  // Durable commit: a snapshot of the new shape, so a crash after the
+  // resize restores straight into it (best effort — the in-memory commit
+  // above already happened, and a checkpoint failure is recoverable by the
+  // shape-portable restore path anyway).
+  if (!config_.checkpoint.dir.empty()) (void)DoWriteCheckpoint();
+  const double pause = obs::MonotonicSeconds() - t0;
+  ins_.reshards_ok->Increment();
+  ins_.reshard_pause_seconds->Observe(pause);
+  GLP_LOG(Info) << "resharded fleet: " << old_n << " -> " << target
+                << " shards (" << global.size()
+                << " stream edges re-routed in " << pause << "s)";
+  return Status::OK();
 }
 
-pipeline::DetectDelta StreamServer::BuildDetectDelta(
-    const graph::WindowSnapshot& cur, bool extract_all, bool* ok) {
-  pipeline::DetectDelta dd;
-  dd.extract_all = extract_all;
-  *ok = true;
+void StreamServer::MaybeAutoReshard() {
+  const ReshardPolicy& p = config_.reshard;
+  if (!p.enabled()) return;
+  if (num_ticks_ - last_reshard_tick_ < p.cooldown_ticks) return;
+  // Heat = in-window edges per shard at the tick that just completed
+  // (mirrors included — they are real per-shard work). Deterministic in
+  // the stream, so replays make identical decisions.
+  uint64_t total = 0;
+  for (int k = 0; k < num_shards(); ++k) {
+    total += static_cast<uint64_t>(shards_[k].hi - shards_[k].lo);
+  }
+  const uint64_t per = total / static_cast<uint64_t>(num_shards());
+  int target = num_shards();
+  if (p.grow_edges_per_shard > 0 && per > p.grow_edges_per_shard &&
+      num_shards() < p.max_shards) {
+    target = num_shards() + 1;
+  } else if (p.shrink_edges_per_shard > 0 && per < p.shrink_edges_per_shard &&
+             num_shards() > p.min_shards) {
+    target = num_shards() - 1;
+  }
+  if (target == num_shards()) return;
+  GLP_LOG(Info) << "auto-reshard: " << per << " in-window edges/shard -> "
+                << target << " shards";
+  const Status st = MigrateToShardCount(target);
+  if (!st.ok()) {
+    GLP_LOG(Warning) << "auto-reshard to " << target
+                     << " shards failed: " << st.ToString();
+  }
+}
 
-  // Stamp the current snapshot's entity -> local-id map (same epoch trick
-  // as MapWarmLabels; cur_map_ is shared scratch between them).
-  const size_t universe = static_cast<size_t>(window_.max_entity()) + 1;
-  EntityMap* m = &cur_map_;
-  if (m->epoch_of.size() < universe) {
-    m->epoch_of.assign(universe, 0);
-    m->local_of.resize(universe);
-    m->epoch = 0;
+void StreamServer::ShardComponents(int k, double start_time,
+                                   double end_time) {
+  ShardScratch& s = shards_[k];
+  s.entities.clear();
+  s.uf.clear();
+  const graph::SlidingWindow& w = windows_[k];
+  if (w.num_stream_edges() == 0) {
+    s.lo = s.hi = 0;
+    return;
   }
-  if (++m->epoch == 0) {
-    std::fill(m->epoch_of.begin(), m->epoch_of.end(), 0u);
-    m->epoch = 1;
+  s.lo = w.LowerBound(start_time);
+  s.hi = w.LowerBound(end_time);
+  s.intern.EnsureUniverse(universe_);
+  s.intern.Bump();
+  const std::vector<TimedEdge>& edges = w.edges();
+  auto add = [&](VertexId g) {
+    const VertexId l = s.intern.Intern(g, &s.entities);
+    if (static_cast<size_t>(l) == s.uf.size()) s.uf.push_back(l);
+    return l;
+  };
+  for (size_t i = s.lo; i < s.hi; ++i) {
+    const VertexId a = add(edges[i].src);
+    const VertexId b = add(edges[i].dst);
+    const VertexId ra = Find(&s.uf, a);
+    const VertexId rb = Find(&s.uf, b);
+    if (ra != rb) s.uf[rb] = ra;
   }
-  for (size_t i = 0; i < cur.local_to_global.size(); ++i) {
-    m->epoch_of[cur.local_to_global[i]] = m->epoch;
-    m->local_of[cur.local_to_global[i]] = static_cast<VertexId>(i);
-  }
+}
 
-  const size_t n = cur.local_to_global.size();
-  dd.dirty.resize(n);
-  dd.clean_labels.assign(n, 0);
-  for (size_t v = 0; v < n; ++v) {
-    const VertexId g = cur.local_to_global[v];
-    const bool dirty = inc_tracker_.IsDirty(g);
-    dd.dirty[v] = dirty ? 1 : 0;
-    if (dirty) {
-      dd.clean_labels[v] = static_cast<Label>(v);  // defined but unread
+void StreamServer::StitchComponents() {
+  // Mirroring guarantees every cross-shard edge appears in both endpoint
+  // shards, so unioning each active entity with its shard-local component
+  // root — over all shards — yields exactly the global components: any
+  // global path is a chain of intra-shard hops stitched at shared entities.
+  stitch_intern_.EnsureUniverse(universe_);
+  stitch_intern_.Bump();
+  stitch_entities_.clear();
+  stitch_uf_.clear();
+  auto add = [&](VertexId g) {
+    const VertexId l = stitch_intern_.Intern(g, &stitch_entities_);
+    if (static_cast<size_t>(l) == stitch_uf_.size()) stitch_uf_.push_back(l);
+    return l;
+  };
+  for (ShardScratch& s : shards_) {
+    for (size_t i = 0; i < s.entities.size(); ++i) {
+      const VertexId root_entity =
+          s.entities[Find(&s.uf, static_cast<VertexId>(i))];
+      const VertexId a = add(s.entities[i]);
+      const VertexId b = add(root_entity);
+      const VertexId ra = Find(&stitch_uf_, a);
+      const VertexId rb = Find(&stitch_uf_, b);
+      if (ra != rb) stitch_uf_[rb] = ra;
+    }
+  }
+  // Deterministic owner: the shard of the component's smallest entity id —
+  // stable under any shard/batch interleaving of the same window.
+  comp_min_entity_.assign(stitch_entities_.size(), graph::kInvalidVertex);
+  for (size_t l = 0; l < stitch_entities_.size(); ++l) {
+    const VertexId r = Find(&stitch_uf_, static_cast<VertexId>(l));
+    comp_min_entity_[r] = std::min(comp_min_entity_[r], stitch_entities_[l]);
+  }
+  for (OwnerWork& ow : owners_) ow.num_components = 0;
+  if (owner_of_.size() < universe_) owner_of_.resize(universe_);
+  for (size_t l = 0; l < stitch_entities_.size(); ++l) {
+    const VertexId r = Find(&stitch_uf_, static_cast<VertexId>(l));
+    const int owner = pmap_->PartOf(comp_min_entity_[r]);
+    owner_of_[stitch_entities_[l]] = static_cast<uint8_t>(owner);
+    if (static_cast<VertexId>(l) == r) ++owners_[owner].num_components;
+  }
+}
+
+void StreamServer::BucketShardEdges(int k) {
+  ShardScratch& s = shards_[k];
+  for (auto& bucket : s.owner_buckets) bucket.clear();
+  const std::vector<TimedEdge>& edges = windows_[k].edges();
+  for (size_t i = s.lo; i < s.hi; ++i) {
+    const TimedEdge& e = edges[i];
+    // Owned copies only: the mirror of this edge in the other endpoint's
+    // shard is skipped there, so the buckets partition the global window.
+    if (pmap_->PartOf(e.src) != k) continue;
+    s.owner_buckets[owner_of_[e.src]].push_back(e);
+  }
+}
+
+void StreamServer::RefreshOwnersFromTracker() {
+  // Full recompute (rebuild/restore paths only — O(universe)): owner =
+  // pmap_->PartOf(component min entity), the same rule StitchComponents
+  // applies, so cold and incremental replays bucket identically. The
+  // ascending entity scan means a root's first-seen member IS its minimum.
+  if (owner_of_.size() < universe_) owner_of_.resize(universe_);
+  comp_min_scratch_.assign(universe_, graph::kInvalidVertex);
+  std::vector<int64_t> counts(static_cast<size_t>(num_shards()), 0);
+  for (size_t e = 0; e < universe_; ++e) {
+    if (!inc_tracker_.InWindow(static_cast<VertexId>(e))) continue;
+    const VertexId r = inc_tracker_.Root(static_cast<VertexId>(e));
+    if (comp_min_scratch_[r] == graph::kInvalidVertex) {
+      comp_min_scratch_[r] = static_cast<VertexId>(e);
+      ++counts[pmap_->PartOf(static_cast<VertexId>(e))];
+    }
+  }
+  for (size_t e = 0; e < universe_; ++e) {
+    if (!inc_tracker_.InWindow(static_cast<VertexId>(e))) continue;
+    const VertexId r = inc_tracker_.Root(static_cast<VertexId>(e));
+    owner_of_[e] = static_cast<uint8_t>(pmap_->PartOf(comp_min_scratch_[r]));
+  }
+  for (int o = 0; o < num_shards_; ++o) owners_[o].num_components = counts[o];
+}
+
+bool StreamServer::UpdateIncrementalTracker(double start_time,
+                                            double end_time) {
+  // Advance every shard's range cursor. The delta path needs ALL shards
+  // exact: a single rewritten shard prefix poisons that shard's indices,
+  // and a component can span shards — conservative fleet-wide rebuild,
+  // never wrong.
+  std::vector<graph::WindowDelta> deltas(num_shards_);
+  bool all_exact = true;
+  for (int k = 0; k < num_shards_; ++k) {
+    range_cursors_[k].AdvanceTo(start_time, end_time, &deltas[k]);
+    shards_[k].lo = range_cursors_[k].lo();
+    shards_[k].hi = range_cursors_[k].hi();
+    all_exact = all_exact && deltas[k].exact;
+  }
+  const bool force_rebuild = !fail::Inject("serve.incremental_rebuild").ok();
+  bool applied = false;
+  if (all_exact && !force_rebuild) {
+    // Phased application: every shard's expirations land before any
+    // retained-edge rescan, so a component spanning shards re-derives from
+    // the union of all its shards' retained edges.
+    inc_tracker_.BeginTick();
+    for (int k = 0; k < num_shards_; ++k) {
+      inc_tracker_.Expire(windows_[k].edges(), deltas[k]);
+    }
+    for (int k = 0; k < num_shards_; ++k) {
+      inc_tracker_.Rescan(windows_[k].edges(), deltas[k]);
+    }
+    for (int k = 0; k < num_shards_; ++k) {
+      inc_tracker_.Append(windows_[k].edges(), deltas[k]);
+    }
+    inc_tracker_.FinishTick();
+    applied = true;
+    // Re-own dirty components only; a clean component's min member — the
+    // entity that fixed its owner — is unchanged by definition. (The
+    // components_owned gauges refresh on rebuild ticks.)
+    if (owner_of_.size() < universe_) owner_of_.resize(universe_);
+    for (const VertexId r : inc_tracker_.dirty_roots()) {
+      const std::vector<VertexId>& mem = inc_tracker_.MembersOf(r);
+      VertexId mn = mem.front();
+      for (const VertexId m : mem) mn = std::min(mn, m);
+      const auto owner = static_cast<uint8_t>(pmap_->PartOf(mn));
+      for (const VertexId m : mem) owner_of_[m] = owner;
+    }
+  } else {
+    inc_tracker_.BeginRebuild();
+    for (int k = 0; k < num_shards_; ++k) {
+      inc_tracker_.AddWindowRange(windows_[k].edges(), shards_[k].lo,
+                                  shards_[k].hi);
+    }
+    inc_tracker_.FinishRebuild(/*mark_all_dirty=*/true);
+    ins_.incremental_rebuilds->Increment();
+    RefreshOwnersFromTracker();
+  }
+  ins_.dirty_components->Set(
+      static_cast<double>(inc_tracker_.NumDirtyComponents()));
+  return applied;
+}
+
+void StreamServer::RunOwnerDetection(int o, double window_start,
+                                     double window_end, bool degraded,
+                                     bool warm_wanted, bool use_delta) {
+  OwnerWork& ow = owners_[o];
+  ow.ran = false;
+  ow.warm = false;
+  ow.status = Status::OK();
+  ow.outcome = TickOutcome::kOk;
+  ow.wall_seconds = 0;
+  ow.reused = 0;
+  // Each shard's bucket is a canonically-ordered subsequence of its window;
+  // an N-way merge restores the owner's edges to exactly the order the
+  // 1-shard window would iterate them in — the invariant the snapshot's
+  // local-id assignment (and through it every LP tie-break) depends on.
+  // A lone non-empty bucket (always the case on one shard) is already in
+  // that order and is moved in rather than copied.
+  ow.edges.clear();
+  ow.borrowed_from = -1;
+  int nonempty = 0, last = -1;
+  for (int k = 0; k < num_shards_; ++k) {
+    if (!shards_[k].owner_buckets[o].empty()) {
+      ++nonempty;
+      last = k;
+    }
+  }
+  if (nonempty == 1) {
+    ow.borrowed_from = last;
+    ow.edges = std::move(shards_[last].owner_buckets[o]);
+  }
+  for (int k = 0; k < num_shards_ && nonempty > 1; ++k) {
+    const std::vector<TimedEdge>& bucket = shards_[k].owner_buckets[o];
+    if (bucket.empty()) continue;
+    if (ow.edges.empty()) {
+      ow.edges = bucket;
       continue;
     }
-    // A clean vertex keeps its previous-tick label: the anchor entity of
-    // its component, re-expressed as a current local id. A clean component
-    // is unchanged since last tick, so its anchor must still be in the
-    // window; any miss means the carried-over state is inconsistent and the
-    // caller takes the full (always-correct) path.
-    const VertexId anchor =
-        static_cast<size_t>(g) < anchor_of_.size() ? anchor_of_[g]
-                                                   : graph::kInvalidVertex;
-    if (anchor == graph::kInvalidVertex ||
-        static_cast<size_t>(anchor) >= universe ||
-        m->epoch_of[anchor] != m->epoch) {
-      *ok = false;
-      return dd;
+    ow.merge_tmp.clear();
+    ow.merge_tmp.reserve(ow.edges.size() + bucket.size());
+    std::merge(ow.edges.begin(), ow.edges.end(), bucket.begin(), bucket.end(),
+               std::back_inserter(ow.merge_tmp), graph::CanonicalEdgeLess);
+    std::swap(ow.edges, ow.merge_tmp);
+  }
+  if (ow.edges.empty()) return;  // this shard owns no components this tick
+  glp::Timer owner_timer;
+  // Pool workers append spans concurrently (SpanSink is mutex-guarded);
+  // tick_trace_/tick_root_span_ were fixed by the detection thread before the
+  // fan-out and are read-only here.
+  const bool collect = config_.trace.collect_spans();
+  const obs::SpanContext tick_ctx{tick_trace_.trace_id, tick_root_span_,
+                                  tick_trace_.sampled};
+  obs::ScopedSpan owner_span(collect ? &span_sink_ : nullptr, tick_ctx,
+                             "serve.owner_detect");
+  owner_span.AddLabel("shard", std::to_string(o));
+  owner_span.AddLabel("edges", std::to_string(ow.edges.size()));
+
+  // Snapshot build, mirroring SlidingWindow::SnapshotRange on the merged
+  // edge list (dense epoch-stamped remap, first-appearance local ids), also
+  // noting where each local id first appears for AssignWindowLocalIds.
+  graph::SlidingWindow::Scratch& sc = ow.scratch;
+  if (sc.epoch_of.size() < universe_) {
+    sc.epoch_of.assign(universe_, 0);
+    sc.local_of.resize(universe_);
+    sc.epoch = 0;
+  }
+  if (++sc.epoch == 0) {
+    std::fill(sc.epoch_of.begin(), sc.epoch_of.end(), 0u);
+    sc.epoch = 1;
+  }
+  const uint32_t epoch = sc.epoch;
+  ow.snap.local_to_global.clear();
+  ow.first_edge.clear();
+  size_t edge_idx = 0;
+  auto intern = [&](VertexId g) {
+    if (sc.epoch_of[g] != epoch) {
+      sc.epoch_of[g] = epoch;
+      sc.local_of[g] = static_cast<VertexId>(ow.snap.local_to_global.size());
+      ow.snap.local_to_global.push_back(g);
+      ow.first_edge.push_back(edge_idx);
     }
-    dd.clean_labels[v] = static_cast<Label>(m->local_of[anchor]);
+    return sc.local_of[g];
+  };
+  std::vector<graph::Edge> local;
+  local.reserve(ow.edges.size());
+  for (; edge_idx < ow.edges.size(); ++edge_idx) {
+    const TimedEdge& e = ow.edges[edge_idx];
+    local.push_back({intern(e.src), intern(e.dst)});
+  }
+  graph::GraphBuilder builder(
+      static_cast<VertexId>(ow.snap.local_to_global.size()));
+  builder.Reserve(local.size());
+  for (const graph::Edge& e : local) builder.AddEdgeUnchecked(e.src, e.dst);
+  ow.snap.graph = config_.detect.collapse_window_graphs
+                      ? builder.BuildCollapsed(/*symmetrize=*/true)
+                      : builder.Build(/*symmetrize=*/true, /*dedupe=*/false);
+
+  // Warm init from the global anchor map: an entity resumes its previous
+  // label re-expressed as the anchor entity's local id, when the anchor
+  // landed in this owner's snapshot too; everything else starts singleton.
+  std::vector<Label>& warm_init = ow.warm_init;
+  warm_init.clear();
+  if (warm_wanted) {
+    warm_init.resize(ow.snap.local_to_global.size());
+    for (size_t v = 0; v < ow.snap.local_to_global.size(); ++v) {
+      Label out = static_cast<Label>(v);
+      const VertexId g = ow.snap.local_to_global[v];
+      const VertexId anchor =
+          g < warm_anchor_.size() ? warm_anchor_[g] : graph::kInvalidVertex;
+      if (anchor < sc.epoch_of.size() && sc.epoch_of[anchor] == epoch) {
+        out = static_cast<Label>(sc.local_of[anchor]);
+      }
+      warm_init[v] = out;
+    }
   }
 
-  if (!extract_all) {
-    for (const ClusterRecord& rec : records_) {
-      if (rec.cluster.members.empty() ||
-          inc_tracker_.IsDirty(rec.cluster.members[0])) {
-        continue;  // component changed (or left): record is stale
+  // Incremental delta for this owner, from the detection thread's pre-exported
+  // dirty flags (entity_dirty_, anchor_of_, records_, owner_records_ are
+  // all read-only during the parallel fan-out). Any inconsistency in the
+  // carried-over state downgrades just this owner to the full — still
+  // canonical — path.
+  pipeline::DetectDelta dd;
+  bool delta_ok = use_delta;
+  if (delta_ok) {
+    dd.extract_all = !records_valid_;
+    const size_t n = ow.snap.local_to_global.size();
+    dd.dirty.resize(n);
+    dd.clean_labels.assign(n, 0);
+    for (size_t v = 0; v < n; ++v) {
+      const VertexId g = ow.snap.local_to_global[v];
+      const bool dirty = entity_dirty_[g] != 0;
+      dd.dirty[v] = dirty ? 1 : 0;
+      if (dirty) {
+        dd.clean_labels[v] = static_cast<Label>(v);  // defined but unread
+        continue;
       }
-      if (static_cast<size_t>(rec.label_anchor) >= universe ||
-          m->epoch_of[rec.label_anchor] != m->epoch) {
-        *ok = false;
-        return dd;
+      const VertexId anchor = static_cast<size_t>(g) < anchor_of_.size()
+                                  ? anchor_of_[g]
+                                  : graph::kInvalidVertex;
+      if (anchor == graph::kInvalidVertex ||
+          static_cast<size_t>(anchor) >= universe_ ||
+          sc.epoch_of[anchor] != epoch) {
+        delta_ok = false;
+        break;
       }
-      pipeline::SuspiciousCluster c = rec.cluster;
-      c.label = static_cast<Label>(m->local_of[rec.label_anchor]);
-      dd.reused.push_back(std::move(c));
+      dd.clean_labels[v] = static_cast<Label>(sc.local_of[anchor]);
+    }
+    if (delta_ok && !dd.extract_all) {
+      for (const size_t idx : owner_records_[o]) {
+        const ClusterRecord& rec = records_[idx];
+        if (static_cast<size_t>(rec.label_anchor) >= universe_ ||
+            sc.epoch_of[rec.label_anchor] != epoch) {
+          delta_ok = false;
+          break;
+        }
+        pipeline::SuspiciousCluster c = rec.cluster;
+        c.label = static_cast<Label>(sc.local_of[rec.label_anchor]);
+        dd.reused.push_back(std::move(c));
+      }
     }
   }
-  return dd;
+
+  // Retry ladder, walked independently per owner shard: attempt 0 as
+  // configured, attempt 1 an unchanged retry, attempt 2 cold (the warm
+  // state is suspect), the final attempt on the fallback engine. Only
+  // transient Status codes walk the ladder.
+  const int max_attempts = 1 + std::max(0, config_.resilience.max_tick_retries);
+  Status failure;
+  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+    pipeline::PipelineConfig cfg = config_.detect;
+    if (degraded) {
+      cfg.lp.max_iterations =
+          std::min(cfg.lp.max_iterations, config_.resilience.degraded_iteration_cap);
+      cfg.lp.stop_when_stable = true;
+    }
+    const bool warm = warm_wanted && attempt <= 1;
+    if (warm_wanted && !warm) ins_.warm_fallbacks->Increment();
+    if (warm) cfg.lp.initial_labels = warm_init;
+    // Delta attempts track the warm-start retry shape; later attempts run
+    // the full (still canonical) detection.
+    const bool with_delta = delta_ok && attempt <= 1;
+    if (attempt == max_attempts - 1 && attempt > 0 &&
+        config_.resilience.enable_engine_fallback) {
+      cfg.engine = config_.resilience.fallback_engine;
+      ins_.engine_fallbacks->Increment();
+    }
+
+    lp::RunContext ctx;
+    ctx.profiler = config_.profiler;  // RunTick serializes owners when set
+    ctx.pool = config_.pool;
+    ctx.stop_token = &stop_token_;
+    ctx.metrics = registry_;
+    ctx.trace_sink = collect ? &span_sink_ : nullptr;
+    ctx.trace_id = tick_trace_.trace_id;
+    ctx.trace_parent_span =
+        owner_span.active() ? owner_span.context().span_id : 0;
+
+    Status st = fail::Inject("serve.tick");
+    if (st.ok()) {
+      auto result = pipeline::DetectOnSnapshot(
+          ow.snap, cfg, ctx, config_.seeds, config_.ground_truth,
+          window_start, window_end, with_delta ? &dd : nullptr);
+      if (result.ok()) {
+        ow.result = std::move(result).value();
+        ow.warm = warm;
+        ow.ran = true;
+        if (with_delta && !dd.extract_all) {
+          ow.reused = static_cast<int64_t>(dd.reused.size());
+        }
+        break;
+      }
+      st = result.status();
+    }
+    if (st.IsCancelled()) {
+      ow.outcome = TickOutcome::kCancelled;
+      return;
+    }
+    if (!IsTransient(st)) {
+      ow.status = st;
+      ow.outcome = TickOutcome::kFatal;
+      return;
+    }
+    failure = st;
+    if (attempt + 1 < max_attempts) {
+      ins_.tick_retries->Increment();
+      if (!Backoff(attempt)) {
+        ow.outcome = TickOutcome::kCancelled;
+        return;
+      }
+    }
+  }
+  if (!ow.ran) {
+    ow.status = failure;
+    ow.outcome = TickOutcome::kAbandoned;
+    owner_span.AddLabel("error", failure.ToString());
+    return;
+  }
+  ow.wall_seconds = owner_timer.Seconds();
+  owner_span.AddLabel("warm", ow.warm ? "1" : "0");
 }
 
-StreamServer::TickOutcome StreamServer::RunTick(double end_time) {
+size_t StreamServer::AssignWindowLocalIds() {
+  // An owner's local ids follow first appearance in its edges, a canonically
+  // ordered subsequence of the window, and every entity's first window edge
+  // lies in its own owner (components are owned whole). Merging the owners'
+  // id sequences by that first edge therefore reproduces the window's
+  // first-appearance order: the ids a 1-shard snapshot assigns. Distinct
+  // owners never share an edge, so the merge has no ties.
+  struct Head {
+    int owner;
+    size_t v;
+  };
+  const auto first_edge = [this](const Head& h) -> const TimedEdge& {
+    const OwnerWork& ow = owners_[h.owner];
+    return ow.edges[ow.first_edge[h.v]];
+  };
+  const auto after = [&](const Head& a, const Head& b) {
+    return graph::CanonicalEdgeLess(first_edge(b), first_edge(a));
+  };
+  std::priority_queue<Head, std::vector<Head>, decltype(after)> heads(after);
+  for (int o = 0; o < num_shards_; ++o) {
+    OwnerWork& ow = owners_[o];
+    if (!ow.ran) continue;
+    ow.gid.resize(ow.snap.local_to_global.size());
+    if (!ow.gid.empty()) heads.push({o, 0});
+  }
+  VertexId next = 0;
+  while (!heads.empty()) {
+    Head h = heads.top();
+    heads.pop();
+    std::vector<VertexId>& gid = owners_[h.owner].gid;
+    // Take this owner's ids while they precede every other owner's head.
+    do {
+      gid[h.v++] = next++;
+    } while (h.v < gid.size() && (heads.empty() || !after(h, heads.top())));
+    if (h.v < gid.size()) heads.push(h);
+  }
+  return next;
+}
+
+StreamServer::TickOutcome StreamServer::RunTick(
+    double end_time) {
   glp::Timer tick_timer;
   const double tick_start_mono = obs::MonotonicSeconds();
   const double host_start =
       config_.profiler != nullptr ? config_.profiler->HostNow() : 0;
 
-  // Mint this tick's trace: a fresh deterministic id (seeded sampler), the
-  // head-based sampling verdict, and — when span collection is on — the
-  // root span every child of this tick parents to. Sampled ticks mark
-  // their log lines with trace=<id> for the tick's duration.
+  TickResult tr;
+  tr.tick = num_ticks_;
+  tr.window_end = end_time;
+  tr.window_start = end_time - config_.detect.window_days;
+
+  // Mint this tick's trace (head-based sampling) and its root span id; the
+  // root serve.tick span itself is assembled in FinishTickTrace once the
+  // wall time is known. Sampled ticks stamp trace=<id> on every GLP_LOG
+  // line the detection thread emits during the tick.
   const bool collect = config_.trace.collect_spans();
   if (config_.trace.enabled()) {
     tick_trace_ = sampler_.StartTrace();
@@ -1049,31 +1860,18 @@ StreamServer::TickOutcome StreamServer::RunTick(double end_time) {
   } log_trace_scope;
   if (tick_trace_.sampled) glp::SetLogTraceId(tick_trace_.trace_id);
 
-  TickResult tr;
-  tr.tick = num_ticks_;
-  tr.window_end = end_time;
-  tr.window_start = end_time - config_.detect.window_days;
-
-  obs::ScopedSpan advance_span(collect ? &span_sink_ : nullptr, root_ctx,
-                               "serve.window_advance");
-  glp::Timer build_timer;
-  graph::WindowDelta delta;
-  const graph::WindowSnapshot& snap = config_.tick.incremental
-                                          ? cursor_.AdvanceTo(end_time, &delta)
-                                          : cursor_.AdvanceTo(end_time);
-  const double build_seconds = build_timer.Seconds();
-  advance_span.End();
-
-  // Degradation ladder steps 1–2: a previous-tick deadline overrun caps LP
-  // iterations and postpones a due cold refresh until pressure clears.
-  // (Incremental mode has no warm/refresh machinery — every tick is exact.)
+  // Degradation ladder steps 1–2, fleet-wide: a previous-tick deadline
+  // overrun caps LP iterations and postpones a due cold refresh until
+  // pressure clears (incremental mode has no warm/refresh machinery —
+  // every tick is exact).
   const bool degraded =
       config_.resilience.tick_deadline_seconds > 0 &&
       last_tick_wall_seconds_ > config_.resilience.tick_deadline_seconds;
-  bool refresh_due =
-      !config_.tick.incremental && config_.tick.cold_refresh_every_ticks > 0 &&
-      num_ticks_ % config_.tick.cold_refresh_every_ticks == 0;
-  if (!config_.tick.incremental && config_.tick.warm_start && have_prev_) {
+  const bool warm_mode = config_.tick.warm_start && !config_.tick.incremental;
+  bool refresh_due = !config_.tick.incremental &&
+                     config_.tick.cold_refresh_every_ticks > 0 &&
+                     num_ticks_ % config_.tick.cold_refresh_every_ticks == 0;
+  if (warm_mode && have_prev_) {
     if (degraded && (refresh_due || refresh_pending_)) {
       if (refresh_due) ins_.cold_refresh_deferred->Increment();
       refresh_pending_ = true;
@@ -1085,222 +1883,282 @@ StreamServer::TickOutcome StreamServer::RunTick(double end_time) {
   }
   if (degraded) ins_.degraded_ticks->Increment();
 
-  const bool warm_wanted = !config_.tick.incremental && config_.tick.warm_start &&
-                           have_prev_ && !refresh_due &&
-                           snap.graph.num_vertices() > 0;
-
-  // Incremental connectivity update — unconditional, even on an empty
-  // window (connectivity is a function of the window alone, not of how
-  // this tick's LP goes; skipping the tick that expired the last edges
-  // would leave the tracker permanently stale). An inexact cursor delta or
-  // a fired serve.incremental_rebuild failpoint falls back to a
-  // from-scratch rebuild with everything dirty: slower, never wrong.
+  glp::Timer build_timer;
+  universe_ = 0;
+  for (const graph::SlidingWindow& w : windows_) {
+    if (w.num_stream_edges() == 0) continue;
+    universe_ =
+        std::max(universe_, static_cast<size_t>(w.max_entity()) + 1);
+  }
+  // Incremental mode replaces the per-shard union-finds AND the boundary
+  // stitch with one persistent fleet-wide tracker; it must be updated even
+  // when the windows went empty (the expirations that emptied them count).
   bool delta_applied = false;
   if (config_.tick.incremental) {
     obs::ScopedSpan uf_span(collect ? &span_sink_ : nullptr, root_ctx,
                             "serve.union_find");
-    const bool force_rebuild =
-        !fail::Inject("serve.incremental_rebuild").ok();
-    if (delta.exact && !force_rebuild) {
-      inc_tracker_.ApplyDelta(window_.edges(), delta);
-      delta_applied = true;
-    } else {
-      inc_tracker_.RebuildAll(window_.edges(), cursor_.lo(), cursor_.hi());
-      ins_.incremental_rebuilds->Increment();
-    }
-    ins_.dirty_components->Set(
-        static_cast<double>(inc_tracker_.NumDirtyComponents()));
-    if (uf_span.active()) {
-      uf_span.AddLabel("mode", delta_applied ? "delta" : "rebuild");
-    }
-  }
-  // The delta path additionally needs trustworthy carried-over state: not
-  // right after an abandoned/degraded/empty tick, and not on a degraded
-  // tick (its iteration cap breaks the exactness argument).
-  bool delta_ok = delta_applied && inc_reuse_ok_ && !degraded;
-  pipeline::DetectDelta dd;
-  if (delta_ok) {
-    bool dd_ok = true;
-    dd = BuildDetectDelta(snap, /*extract_all=*/!records_valid_, &dd_ok);
-    if (!dd_ok) delta_ok = false;
-  }
-
-  if (snap.graph.num_vertices() > 0) {
-    // Retry ladder: attempt 0 as configured, attempt 1 an unchanged retry,
-    // attempt 2 cold (the warm state is suspect), final attempt on the
-    // fallback engine. Only transient Status codes walk the ladder.
-    const int max_attempts = 1 + std::max(0, config_.resilience.max_tick_retries);
-    bool ran = false;
-    Status failure;
-    for (int attempt = 0; attempt < max_attempts; ++attempt) {
-      pipeline::PipelineConfig cfg = config_.detect;
-      if (degraded) {
-        cfg.lp.max_iterations =
-            std::min(cfg.lp.max_iterations, config_.resilience.degraded_iteration_cap);
-        cfg.lp.stop_when_stable = true;
-      }
-      const bool warm = warm_wanted && attempt <= 1;
-      if (warm_wanted && !warm) ins_.warm_fallbacks->Increment();
-      if (warm) cfg.lp.initial_labels = MapWarmLabels(snap);
-      // The delta path follows the warm-start retry shape: attempts 0–1 use
-      // it, later attempts run the full (still canonical) detection in case
-      // the carried-over state is what keeps failing.
-      const bool use_delta = delta_ok && attempt <= 1;
-      if (attempt == max_attempts - 1 && attempt > 0 &&
-          config_.resilience.enable_engine_fallback) {
-        cfg.engine = config_.resilience.fallback_engine;
-        ins_.engine_fallbacks->Increment();
-      }
-
-      obs::ScopedSpan attempt_span(collect ? &span_sink_ : nullptr, root_ctx,
-                                   "serve.detect");
-      if (attempt_span.active()) {
-        attempt_span.AddLabel("attempt", std::to_string(attempt));
-        attempt_span.AddLabel("warm", warm ? "1" : "0");
-      }
-
-      lp::RunContext ctx;
-      ctx.profiler = config_.profiler;
-      ctx.pool = config_.pool;
-      ctx.stop_token = &stop_token_;
-      ctx.metrics = registry_;
-      ctx.trace_sink = collect ? &span_sink_ : nullptr;
-      ctx.trace_id = tick_trace_.trace_id;
-      ctx.trace_parent_span =
-          attempt_span.active() ? attempt_span.context().span_id : 0;
-
-      Status st = fail::Inject("serve.tick");
-      if (st.ok()) {
-        auto result = pipeline::DetectOnSnapshot(
-            snap, cfg, ctx, config_.seeds, config_.ground_truth,
-            tr.window_start, tr.window_end, use_delta ? &dd : nullptr);
-        if (result.ok()) {
-          tr.detection = std::move(result).value();
-          tr.warm = warm;
-          if (use_delta && !dd.extract_all) {
-            ins_.reused_clusters->Increment(
-                static_cast<uint64_t>(dd.reused.size()));
+    delta_applied = UpdateIncrementalTracker(tr.window_start, end_time);
+    uf_span.AddLabel("mode", delta_applied ? "delta" : "rebuild");
+  } else {
+    obs::ScopedSpan comp_span(collect ? &span_sink_ : nullptr, root_ctx,
+                              "serve.components");
+    pool()->ParallelFor(
+        0, num_shards_,
+        [&](int64_t lo, int64_t hi) {
+          for (int64_t k = lo; k < hi; ++k) {
+            ShardComponents(static_cast<int>(k), tr.window_start, end_time);
           }
-          if (config_.record_warm_labels) {
-            tr.warm_labels = std::move(cfg.lp.initial_labels);
-          }
-          ran = true;
-          break;
+        },
+        1);
+  }
+  bool any_active = false;
+  for (const ShardScratch& s : shards_) any_active |= s.hi > s.lo;
+
+  const bool warm_wanted = warm_mode && have_prev_ && !refresh_due &&
+                           any_active;
+
+  if (any_active) {
+    if (!config_.tick.incremental) {
+      obs::ScopedSpan stitch_span(collect ? &span_sink_ : nullptr, root_ctx,
+                                  "serve.stitch");
+      StitchComponents();
+    }
+    {
+      obs::ScopedSpan bucket_span(collect ? &span_sink_ : nullptr, root_ctx,
+                                  "serve.bucket_edges");
+      // Edge buffers owners borrowed last tick go back to their buckets.
+      for (int o = 0; o < num_shards_; ++o) {
+        OwnerWork& ow = owners_[o];
+        if (ow.borrowed_from < 0) continue;
+        shards_[ow.borrowed_from].owner_buckets[o] = std::move(ow.edges);
+        ow.borrowed_from = -1;
+      }
+      pool()->ParallelFor(
+          0, num_shards_,
+          [&](int64_t lo, int64_t hi) {
+            for (int64_t k = lo; k < hi; ++k) {
+              BucketShardEdges(static_cast<int>(k));
+            }
+          },
+          1);
+    }
+    const double build_seconds = build_timer.Seconds();
+
+    // Snapshot the dirty flags and bucket reusable cluster records by
+    // owner before fanning out, so the workers only ever read.
+    const bool delta_ok =
+        config_.tick.incremental && delta_applied && inc_reuse_ok_ && !degraded;
+    if (delta_ok) {
+      inc_tracker_.ExportDirty(universe_, &entity_dirty_);
+      owner_records_.assign(num_shards_, {});
+      if (records_valid_) {
+        for (size_t idx = 0; idx < records_.size(); ++idx) {
+          const std::vector<VertexId>& mem = records_[idx].cluster.members;
+          if (mem.empty() || entity_dirty_[mem.front()] != 0) continue;
+          owner_records_[owner_of_[mem.front()]].push_back(idx);
         }
-        st = result.status();
       }
-      if (attempt_span.active()) {
-        attempt_span.AddLabel("error", st.ToString());
-        attempt_span.End();
+    }
+
+    const auto detect_owners = [&](int64_t lo, int64_t hi) {
+      for (int64_t o = lo; o < hi; ++o) {
+        RunOwnerDetection(static_cast<int>(o), tr.window_start, end_time,
+                          degraded, warm_wanted, delta_ok);
       }
-      if (st.IsCancelled()) {
-        FinishTickTrace(tr.tick, end_time, "cancelled", tick_start_mono,
-                        tick_timer.Seconds(), /*dump=*/false);
-        return TickOutcome::kCancelled;
-      }
-      if (!IsTransient(st)) {
-        RecordError(st);
+    };
+    if (config_.profiler != nullptr) {
+      // A PhaseProfiler is single-threaded: profiled ticks detect owners
+      // one after another, each recording its LP phases into it.
+      detect_owners(0, num_shards_);
+    } else {
+      pool()->ParallelFor(0, num_shards_, detect_owners, 1);
+    }
+
+    // Worst outcome wins: a fatal owner kills the loop, a cancelled owner
+    // means shutdown, any abandoned owner abandons the whole tick (partial
+    // cluster sets must never publish — subscribers would see phantom
+    // expirations for the missing owners' clusters).
+    TickOutcome worst = TickOutcome::kOk;
+    Status abandon_failure;
+    for (const OwnerWork& ow : owners_) {
+      if (ow.outcome == TickOutcome::kFatal) {
+        RecordError(ow.status);
         GLP_LOG(Error) << "fatal detection fault at window end " << end_time
-                       << ": " << st.ToString();
+                       << ": " << ow.status.ToString();
         FinishTickTrace(tr.tick, end_time, "fatal", tick_start_mono,
                         tick_timer.Seconds(), /*dump=*/true);
         return TickOutcome::kFatal;
       }
-      failure = st;
-      if (attempt + 1 < max_attempts) {
-        ins_.tick_retries->Increment();
-        if (!Backoff(attempt)) {
-          FinishTickTrace(tr.tick, end_time, "cancelled", tick_start_mono,
-                          tick_timer.Seconds(), /*dump=*/false);
-          return TickOutcome::kCancelled;
-        }
+      if (ow.outcome == TickOutcome::kCancelled) {
+        worst = TickOutcome::kCancelled;
+      } else if (ow.outcome == TickOutcome::kAbandoned &&
+                 worst == TickOutcome::kOk) {
+        worst = TickOutcome::kAbandoned;
+        abandon_failure = ow.status;
       }
     }
-    if (!ran) {
-      RecordError(failure);
+    if (worst == TickOutcome::kCancelled) {
+      FinishTickTrace(tr.tick, end_time, "cancelled", tick_start_mono,
+                      tick_timer.Seconds(), /*dump=*/false);
+      return TickOutcome::kCancelled;
+    }
+    if (worst == TickOutcome::kAbandoned) {
+      RecordError(abandon_failure);
       ins_.ticks_failed->Increment();
-      // The warm state may itself be what keeps failing; next tick starts
-      // cold from scratch.
       have_prev_ = false;
+      warm_anchor_.clear();
       inc_reuse_ok_ = false;
       records_valid_ = false;
       records_.clear();
       GLP_LOG(Warning) << "tick at window end " << end_time
-                       << " abandoned after " << max_attempts
-                       << " attempts: " << failure.ToString();
+                       << " abandoned: " << abandon_failure.ToString();
       FinishTickTrace(tr.tick, end_time, "abandoned", tick_start_mono,
                       tick_timer.Seconds(), /*dump=*/true);
       return TickOutcome::kAbandoned;
     }
+
+    // Stitch the per-owner results into one TickResult in the window's
+    // canonical local-id space: per-vertex labels, cluster labels and
+    // warm-start labels all pass through the owners' gid maps, so the
+    // published tick is exactly the one a 1-shard server computes. A tick
+    // counts as warm only when every owner that ran kept its warm start (a
+    // mixed tick reports cold).
+    const size_t num_vertices = AssignWindowLocalIds();
+    tr.warm = warm_wanted;
     tr.detection.build_seconds = build_seconds;
-    prev_l2g_ = snap.local_to_global;
-    prev_labels_ = tr.detection.lp.labels;
-    have_prev_ = true;
+    tr.detection.lp.labels.resize(num_vertices);
+    if (warm_mode) warm_anchor_.assign(universe_, graph::kInvalidVertex);
+    // Successful non-degraded incremental ticks refresh the carried-over
+    // state from the published (canonical) per-owner output.
+    const bool refresh_inc = config_.tick.incremental && !degraded;
+    std::vector<ClusterRecord> new_records;
+    int64_t reused_total = 0;
+    if (refresh_inc && anchor_of_.size() < universe_) {
+      anchor_of_.resize(universe_, graph::kInvalidVertex);
+    }
+    for (int o = 0; o < num_shards_; ++o) {
+      const OwnerWork& ow = owners_[o];
+      shard_ins_[o].components_owned->Set(
+          static_cast<double>(ow.num_components));
+      shard_ins_[o].window_edges->Set(
+          static_cast<double>(windows_[o].num_stream_edges()));
+      shard_ins_[o].inwindow_edges->Set(
+          static_cast<double>(shards_[o].hi - shards_[o].lo));
+      if (!ow.ran) continue;
+      tr.warm = tr.warm && ow.warm;
+      shard_ins_[o].tick_seconds->Observe(ow.wall_seconds);
+      tr.detection.window_vertices += ow.result.window_vertices;
+      tr.detection.window_edges += ow.result.window_edges;
+      tr.detection.lp_metrics.true_positives +=
+          ow.result.lp_metrics.true_positives;
+      tr.detection.lp_metrics.false_positives +=
+          ow.result.lp_metrics.false_positives;
+      tr.detection.lp_metrics.false_negatives +=
+          ow.result.lp_metrics.false_negatives;
+      tr.detection.confirmed_metrics.true_positives +=
+          ow.result.confirmed_metrics.true_positives;
+      tr.detection.confirmed_metrics.false_positives +=
+          ow.result.confirmed_metrics.false_positives;
+      tr.detection.confirmed_metrics.false_negatives +=
+          ow.result.confirmed_metrics.false_negatives;
+      // Owners run concurrently: wall-clock aggregates take the max (the
+      // critical path), iteration counts the max too (the grid steps the
+      // slowest component needed); kernel counters sum.
+      tr.detection.lp.iterations =
+          std::max(tr.detection.lp.iterations, ow.result.lp.iterations);
+      tr.detection.lp.simulated_seconds = std::max(
+          tr.detection.lp.simulated_seconds, ow.result.lp.simulated_seconds);
+      tr.detection.lp.wall_seconds =
+          std::max(tr.detection.lp.wall_seconds, ow.result.lp.wall_seconds);
+      tr.detection.lp.stats += ow.result.lp.stats;
+      tr.detection.lp_seconds =
+          std::max(tr.detection.lp_seconds, ow.result.lp_seconds);
+      tr.detection.lp_wall_seconds = std::max(tr.detection.lp_wall_seconds,
+                                              ow.result.lp_wall_seconds);
+      tr.detection.extract_seconds = std::max(tr.detection.extract_seconds,
+                                              ow.result.extract_seconds);
+      const std::vector<VertexId>& l2g = ow.snap.local_to_global;
+      const std::vector<VertexId>& gid = ow.gid;
+      const std::vector<Label>& labels = ow.result.lp.labels;
+      for (size_t v = 0; v < labels.size(); ++v) {
+        const bool valid = static_cast<size_t>(labels[v]) < l2g.size();
+        tr.detection.lp.labels[gid[v]] =
+            valid ? gid[labels[v]] : graph::kInvalidLabel;
+        if (warm_mode && valid) {
+          warm_anchor_[l2g[v]] = l2g[labels[v]];
+        }
+        if (refresh_inc) {
+          anchor_of_[l2g[v]] = valid ? l2g[labels[v]] : graph::kInvalidVertex;
+        }
+      }
+      for (const pipeline::SuspiciousCluster& c : ow.result.clusters) {
+        if (refresh_inc) new_records.push_back({c, l2g[c.label]});
+        tr.detection.clusters.push_back(c);
+        tr.detection.clusters.back().label = gid[c.label];
+      }
+      if (refresh_inc) reused_total += ow.reused;
+      if (config_.record_warm_labels && ow.warm) {
+        tr.warm_labels.resize(num_vertices);
+        for (size_t v = 0; v < ow.warm_init.size(); ++v) {
+          tr.warm_labels[gid[v]] = gid[ow.warm_init[v]];
+        }
+      }
+    }
+    if (!tr.warm) tr.warm_labels.clear();
+    // DetectOnSnapshot orders clusters by label; owner label spaces are
+    // order-isomorphic to the window's, so one sort restores that order.
+    std::sort(tr.detection.clusters.begin(), tr.detection.clusters.end(),
+              [](const pipeline::SuspiciousCluster& a,
+                 const pipeline::SuspiciousCluster& b) {
+                return a.label < b.label;
+              });
     if (config_.tick.incremental) {
-      if (!degraded) {
-        // Every successful non-degraded tick publishes canonical labels —
-        // whether via the delta path (by the §4.10 exactness argument) or a
-        // full run — so the anchors and the cluster-record cache are simply
-        // refreshed from the published output.
-        const size_t universe = static_cast<size_t>(window_.max_entity()) + 1;
-        if (anchor_of_.size() < universe) {
-          anchor_of_.resize(universe, graph::kInvalidVertex);
+      if (refresh_inc) {
+        if (reused_total > 0) {
+          ins_.reused_clusters->Increment(
+              static_cast<uint64_t>(reused_total));
         }
-        for (size_t v = 0; v < snap.local_to_global.size(); ++v) {
-          const Label l = tr.detection.lp.labels[v];
-          anchor_of_[snap.local_to_global[v]] =
-              static_cast<size_t>(l) < snap.local_to_global.size()
-                  ? snap.local_to_global[l]
-                  : graph::kInvalidVertex;
-        }
-        records_.clear();
-        records_.reserve(tr.detection.clusters.size());
-        for (const pipeline::SuspiciousCluster& c : tr.detection.clusters) {
-          records_.push_back({c, snap.local_to_global[c.label]});
-        }
+        records_ = std::move(new_records);
         inc_reuse_ok_ = true;
         records_valid_ = true;
       } else {
-        // Degraded ticks are iteration-capped and may publish non-canonical
-        // labels; nothing from them may seed the next tick's reuse.
         inc_reuse_ok_ = false;
         records_valid_ = false;
         records_.clear();
       }
     }
+    have_prev_ = true;
   } else {
     // Empty window: nothing to cluster; previously confirmed clusters all
     // expire below.
     have_prev_ = false;
+    warm_anchor_.clear();
     inc_reuse_ok_ = false;
     records_valid_ = false;
     records_.clear();
   }
 
-  // Diff confirmed clusters against the previous tick (clusters keyed by
-  // their sorted global member lists).
-  obs::ScopedSpan diff_span(collect ? &span_sink_ : nullptr, root_ctx,
-                            "serve.diff_confirmed");
-  std::set<std::vector<VertexId>> confirmed_now;
-  for (const pipeline::SuspiciousCluster& c : tr.detection.clusters) {
-    if (c.confirmed) confirmed_now.insert(c.members);
-  }
-  for (const auto& members : confirmed_now) {
-    if (prev_confirmed_.count(members) == 0) {
-      tr.new_confirmed.push_back(members);
+  {
+    obs::ScopedSpan diff_span(collect ? &span_sink_ : nullptr, root_ctx,
+                              "serve.diff_confirmed");
+    std::set<std::vector<VertexId>> confirmed_now;
+    for (const pipeline::SuspiciousCluster& c : tr.detection.clusters) {
+      if (c.confirmed) confirmed_now.insert(c.members);
     }
-  }
-  for (const auto& members : prev_confirmed_) {
-    if (confirmed_now.count(members) == 0) {
-      tr.expired_confirmed.push_back(members);
+    for (const auto& members : confirmed_now) {
+      if (prev_confirmed_.count(members) == 0) {
+        tr.new_confirmed.push_back(members);
+      }
     }
-  }
-  prev_confirmed_ = std::move(confirmed_now);
-  if (diff_span.active()) {
+    for (const auto& members : prev_confirmed_) {
+      if (confirmed_now.count(members) == 0) {
+        tr.expired_confirmed.push_back(members);
+      }
+    }
+    prev_confirmed_ = std::move(confirmed_now);
     diff_span.AddLabel("new_confirmed",
                        std::to_string(tr.new_confirmed.size()));
   }
-  diff_span.End();
 
   tr.tick_wall_seconds = tick_timer.Seconds();
   last_tick_wall_seconds_ = tr.tick_wall_seconds;
@@ -1313,8 +2171,6 @@ StreamServer::TickOutcome StreamServer::RunTick(double end_time) {
     tr.ingest_lag_days = ingested_max_time_ - end_time;
   }
   ins_.ingest_lag_days->Set(tr.ingest_lag_days);
-  // Sampled ticks attach their trace id as the latency bucket's exemplar —
-  // a tick_seconds spike on /metrics links straight to its span tree.
   ins_.tick_seconds->ObserveWithExemplar(
       tr.tick_wall_seconds, tick_trace_.sampled ? tick_trace_.trace_id : 0);
   ObserveFreshness(tr);
@@ -1342,34 +2198,38 @@ StreamServer::TickOutcome StreamServer::RunTick(double end_time) {
   return TickOutcome::kOk;
 }
 
-void StreamServer::NoteBatchDequeued(const QueuedBatch& qb,
+void StreamServer::NoteBatchDequeued(const RoutedBatch& rb,
                                      double pop_seconds) {
   if (config_.trace.collect_spans()) {
     // The queue-wait span carries the *client's* trace context (when the
     // batch arrived with one) — in the tick's tree it is the visible splice
     // between the wire trace and the server-minted tick trace.
     obs::Span s;
-    s.trace_id = qb.ctx.trace.trace_id;
+    s.trace_id = rb.ctx.trace.trace_id;
     s.span_id = span_sink_.NewSpanId();
-    s.parent_span_id = qb.ctx.trace.span_id;
+    s.parent_span_id = rb.ctx.trace.span_id;
     s.name = "serve.queue_wait";
-    s.start_seconds = qb.enqueue_seconds;
-    s.duration_seconds = std::max(0.0, pop_seconds - qb.enqueue_seconds);
-    if (!qb.ctx.tenant.empty()) s.labels.emplace_back("tenant", qb.ctx.tenant);
-    s.labels.emplace_back("edges", std::to_string(qb.edges.size()));
+    s.start_seconds = rb.enqueue_seconds;
+    s.duration_seconds = std::max(0.0, pop_seconds - rb.enqueue_seconds);
+    if (!rb.ctx.tenant.empty()) s.labels.emplace_back("tenant", rb.ctx.tenant);
+    s.labels.emplace_back("edges", std::to_string(rb.global_edges));
     span_sink_.Add(std::move(s));
   }
-  if (qb.ctx.arrival_seconds >= 0 && !qb.edges.empty()) {
+  if (rb.ctx.arrival_seconds >= 0 && rb.global_edges > 0) {
     FreshnessMeta meta;
-    meta.tenant = qb.ctx.tenant.empty() ? "default" : qb.ctx.tenant;
-    meta.arrival_seconds = qb.ctx.arrival_seconds;
+    meta.tenant = rb.ctx.tenant.empty() ? "default" : rb.ctx.tenant;
+    meta.arrival_seconds = rb.ctx.arrival_seconds;
     // Exemplars only link sampled traces; the measurement itself is
     // recorded for every stamped batch.
-    meta.trace_id = qb.ctx.trace.sampled ? qb.ctx.trace.trace_id : 0;
-    meta.entities.reserve(qb.edges.size() * 2);
-    for (const graph::TimedEdge& e : qb.edges) {
-      meta.entities.push_back(e.src);
-      meta.entities.push_back(e.dst);
+    meta.trace_id = rb.ctx.trace.sampled ? rb.ctx.trace.trace_id : 0;
+    // Endpoints gathered across all shard sub-batches; mirrored copies
+    // collapse in the sort-unique below.
+    meta.entities.reserve(rb.global_edges * 2);
+    for (const std::vector<TimedEdge>& part : rb.parts) {
+      for (const TimedEdge& e : part) {
+        meta.entities.push_back(e.src);
+        meta.entities.push_back(e.dst);
+      }
     }
     std::sort(meta.entities.begin(), meta.entities.end());
     meta.entities.erase(
@@ -1382,7 +2242,8 @@ void StreamServer::NoteBatchDequeued(const QueuedBatch& qb,
   }
 }
 
-obs::Histogram* StreamServer::FreshnessHistogram(const std::string& tenant) {
+obs::Histogram* StreamServer::FreshnessHistogram(
+    const std::string& tenant) {
   auto it = freshness_hist_.find(tenant);
   if (it != freshness_hist_.end()) return it->second;
   obs::Histogram* h = registry_->GetHistogram(
@@ -1428,7 +2289,8 @@ void StreamServer::ObserveFreshness(const TickResult& tr) {
 }
 
 void StreamServer::FinishTickTrace(int64_t tick, double end_time,
-                                   const char* outcome, double start_seconds,
+                                   const char* outcome,
+                                   double start_seconds,
                                    double wall_seconds, bool dump) {
   if (!config_.trace.collect_spans() || recorder_ == nullptr) {
     tick_trace_ = obs::SpanContext{};

@@ -1,21 +1,56 @@
-// glp::serve — streaming micro-batch fraud-detection server (the
-// deployment shape of paper §5.4: the pipeline re-evaluated continuously as
-// transactions arrive, rather than one-shot over a static stream).
+// glp::serve::StreamServer — the streaming fraud-detection server (the
+// deployment shape of paper §5.4: the pipeline re-evaluated continuously
+// as transactions arrive), on one shard or many (DESIGN.md §4.6, §4.9).
 //
-// Architecture:
+// Entities are partitioned across N >= 1 shards by a versioned
+// pipeline::PartitionMap (the same assignment the distributed cost model
+// prices). Each shard owns a partitioned SlidingWindow holding the edges
+// whose *source* maps to it; an edge whose endpoints map to different
+// shards is mirrored into both, so every shard sees its full local
+// neighborhood — the boundary-mirroring scheme Gunrock-style multi-device
+// frameworks use. One shard has no mirrors: its window is the whole
+// stream. The shard count is *elastic*: Resize() migrates the fleet to a
+// new shape live (DESIGN.md §4.14), and checkpoints restore across shapes.
 //
-//   Ingest(batch) --bounded queue--> detection thread
-//                                      SlidingWindow::Append (tail merge)
-//                                      SlidingWindowCursor::AdvanceTo
-//                                      warm-start label mapping
-//                                      pipeline::DetectOnSnapshot
-//                                      confirmed-cluster diff -> subscribers
+//   Ingest(batch) --route by PartitionOf--> bounded queue of routed batches
+//                                             detection thread
+//                                               parallel per-shard Append
+//                                               per-shard union-find [lo,hi)
+//                                               boundary stitch (global UF)
+//                                               component -> owner shard
+//                                               parallel per-owner detection
+//                                               relabel into window local ids
+//                                               confirmed-cluster diff
+//                                                 -> subscribers
 //
-// The ingest queue is bounded (ServerConfig::max_queue_batches); a full
-// queue blocks the producer — backpressure instead of unbounded memory.
-// Each tick reuses the cursor's scratch and the previous tick's labels
-// (warm start), so a quiescent window converges in <= 2 LP iterations; see
-// DESIGN.md §"Serving layer" for the correctness argument.
+// Why components, not raw subgraphs: label propagation on a shard's
+// mirrored subgraph is NOT equivalent to global LP — labels keep crossing
+// the boundary every iteration, and a one-hop halo cannot carry that. What
+// *is* exactly decomposable is connectivity: labels never cross connected
+// components, and per-component LP is order-isomorphic to the global run
+// (an owner's local ids keep the window's first-appearance order, so every
+// MFL tie-break resolves identically). The per-shard union-finds + the
+// boundary-entity stitch compute global components cheaply in parallel;
+// whole components are then assigned to owner shards
+// (PartitionOf(min-entity)) and detected in parallel. Because owner local
+// ids are order-isomorphic to the window's, one merge of the owners' id
+// sequences (O(V log N); a plain O(V) pass on one shard) maps them back:
+// every tick publishes labels, clusters and warm-start labels in the
+// window's canonical local-id space, so a cold N-shard tick is identical
+// to the 1-shard tick — labels included. With one shard the owner snapshot
+// is the window snapshot and the map is the identity.
+//
+// Warm start anchors each entity's label to an entity id. With N > 1 an
+// anchor that lands in another owner's components is dropped (the entity
+// restarts as a singleton), so N-shard warm ticks can differ from 1-shard
+// warm ticks; cold and incremental ticks cannot (see DESIGN.md §4.9).
+//
+// Resilience: the serve.* failpoints fire on the routed-ingest/append/tick
+// paths (ticks once per owner shard), each owner detection walks the
+// transient-retry ladder (retry -> drop warm -> fallback engine), the
+// deadline degradation ladder arms per tick, and checkpoints are per-shard
+// files sealed by a manifest so the fleet restores atomically
+// (serve/checkpoint.h).
 
 #pragma once
 
@@ -35,9 +70,8 @@
 #include "graph/sliding_window.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "pipeline/partition.h"
 #include "pipeline/pipeline.h"
-#include "prof/prof.h"
-#include "serve/config.h"
 #include "serve/incremental.h"
 #include "serve/server_iface.h"
 #include "serve/wal.h"
@@ -45,32 +79,56 @@
 
 namespace glp::serve {
 
-/// \brief Multi-threaded streaming detection server.
+/// \brief Streaming detection server over N >= 1 shards.
 ///
-/// One producer (or several, externally serialized per call — Ingest is
-/// thread-safe) feeds timestamped edge batches; a dedicated detection
-/// thread appends them to the sliding window and runs a detection tick at
-/// every tick_every_days boundary the data crosses. Batches are expected in
-/// (approximate) time order; late edges are merged into the stream but
-/// already-taken ticks are not re-run.
+/// Producers feed timestamped edge batches (Ingest is thread-safe); the
+/// detection thread appends them to the shard windows and runs a tick at
+/// every tick.every_days boundary the data crosses. Batches are expected
+/// in (approximate) time order; late edges are merged into the stream but
+/// already-taken ticks are not re-run. Exports the glp_serve_* instruments
+/// behind ServerStats plus per-shard glp_serve_shard_* families labeled
+/// {shard="k"}. TickResult::detection is the stitched aggregate, expressed
+/// in the window's canonical local-id space (see the file comment).
 class StreamServer : public Server {
  public:
-  explicit StreamServer(ServerConfig config);
+  /// `config` applies fleet-wide; `num_shards` in [1, 256].
+  explicit StreamServer(ServerConfig config, int num_shards = 1);
   ~StreamServer() override;
 
   StreamServer(const StreamServer&) = delete;
   StreamServer& operator=(const StreamServer&) = delete;
 
+  int num_shards() const override {
+    return num_shards_.load(std::memory_order_acquire);
+  }
+
+  wal::Wal* wal() const override { return wal_.get(); }
+
   /// Registers a per-tick callback (invoked on the detection thread, in
   /// tick order). Must be called before Start().
   void Subscribe(Subscriber subscriber) override;
 
-  /// Restores window, tick schedule, and warm-start state from a
-  /// checkpoint file (or the newest loadable checkpoint in a directory).
-  /// Must be called before Start(). Replaying the stream's remaining edges
-  /// afterwards produces tick output identical to an uninterrupted run.
+  /// Restores the fleet from the newest *complete* checkpoint in `dir`
+  /// (or an explicit manifest/checkpoint path). All-or-nothing: a missing
+  /// or corrupt shard file falls back to the previous complete set.
+  /// Checkpoints are shape-portable: a snapshot taken on any fleet size —
+  /// including a flat single-file checkpoint — restores here, re-partitioned
+  /// under this fleet's map, and the WAL tail (batches after the
+  /// snapshot) replays routed under the *current* map with seq-based
+  /// duplicate suppression, so no edge is lost or duplicated across the
+  /// re-route. Must be called before Start(). RestoreInfo::num_edges
+  /// counts *global* stream edges (mirrors excluded) — the replay resume
+  /// index.
   Result<RestoreInfo> RestoreFromCheckpoint(
       const std::string& path_or_dir) override;
+
+  /// Live fleet resize (DESIGN.md §4.14): quiesce → re-partition → resume
+  /// on the detection thread, preserving the subscriber diff stream
+  /// unbroken. Before Start() the migration runs inline (offline
+  /// re-shape). Aborts — including the armed "serve.reshard" failpoint —
+  /// happen before the commit point and leave the old shape fully intact;
+  /// retry is always safe.
+  Status Resize(int new_num_shards) override;
 
   /// Launches the detection thread.
   Status Start() override;
@@ -78,10 +136,11 @@ class StreamServer : public Server {
   using Server::Ingest;
   using Server::TryIngest;
 
-  /// Enqueues a batch. Blocks while the queue is at max_queue_batches
-  /// (backpressure). Returns false if the server is stopped (batch
-  /// dropped). `ctx` (trace context, arrival stamp, tenant) rides the
-  /// queue with the batch.
+  /// Validates and routes a batch to shard sub-batches, then enqueues the
+  /// routed batch (bounded queue, blocking backpressure). Returns false if
+  /// the batch is rejected or the server is stopped/dead. `ctx` rides the
+  /// routed batch through the queue and across the shard sub-batch fan-out
+  /// to the tick that consumes it.
   bool Ingest(std::vector<graph::TimedEdge> batch, IngestContext ctx) override;
 
   /// Non-blocking Ingest: sheds (kQueueFull) instead of waiting on a full
@@ -89,61 +148,54 @@ class StreamServer : public Server {
   Admit TryIngest(std::vector<graph::TimedEdge> batch,
                   IngestContext ctx) override;
 
-  /// Blocks until every ingested batch has been processed and all due
-  /// ticks have run.
+  /// Blocks until every ingested batch is processed and due ticks ran.
   void Flush() override;
 
-  /// Stops the server: no further ingest, the in-flight LP run (if any) is
-  /// cancelled through the RunContext stop token, the thread is joined.
-  /// Call Flush() first for a graceful drain.
+  /// Stops the detection thread (cancels in-flight LP via the stop token).
   void Stop() override;
 
-  /// On-demand snapshot into checkpoint.dir — see Server::WriteCheckpoint.
+  /// On-demand fleet snapshot — see Server::WriteCheckpoint.
   Status WriteCheckpoint() override;
 
-  /// First non-cancellation error a tick produced, if any. Transient
-  /// errors absorbed by a successful retry are not recorded.
+  /// First non-cancellation error a tick produced, if any.
   Status last_error() const override;
-
-  /// True while the detection thread is serving: Start() succeeded, no
-  /// Stop() yet, and no fatal error has killed the loop. Ingest() returns
-  /// false exactly when this is false.
   bool running() const override;
 
   ServerStats stats() const override;
-
-  /// The registry serving telemetry flows into: ServerConfig::metrics when
-  /// supplied, else the server's private one. Valid for the server's
-  /// lifetime; hand it to an obs::HttpEndpoint to watch the server live.
   obs::MetricRegistry* metrics() const override { return registry_; }
 
-  int num_shards() const override { return 1; }
-
+  /// Flight recorder over completed ticks — see
+  /// Server::flight_recorder. Null unless trace.recorder_ticks > 0.
   const obs::FlightRecorder* flight_recorder() const override {
     return recorder_.get();
   }
 
-  wal::Wal* wal() const override { return wal_.get(); }
-
  private:
-  /// How one tick boundary resolved.
-  enum class TickOutcome { kOk, kAbandoned, kCancelled, kFatal };
-
-  /// One ingest batch riding the bounded queue with its wire context.
-  struct QueuedBatch {
-    std::vector<graph::TimedEdge> edges;
+  /// One ingest batch split into per-shard sub-batches (owned edges plus
+  /// mirrored cross-shard copies). Carries the producer's IngestContext
+  /// across the fan-out: the trace context and arrival stamp describe the
+  /// whole wire batch, whichever shards its edges landed on.
+  struct RoutedBatch {
+    std::vector<std::vector<graph::TimedEdge>> parts;
+    size_t global_edges = 0;  ///< pre-mirroring edge count
+    /// Per-shard owned / mirrored-copy counts (telemetry).
+    std::vector<uint64_t> routed;
+    std::vector<uint64_t> mirrored;
     IngestContext ctx;
-    /// obs::MonotonicSeconds() at enqueue — the queue-wait span's start.
-    double enqueue_seconds = 0;
-    /// WAL sequence of this batch (0 when the WAL is disabled). The
-    /// detection thread tracks the highest consumed value so checkpoints
-    /// record how much of the log they cover.
+    double enqueue_seconds = 0;  ///< obs::MonotonicSeconds() at enqueue
+    /// WAL sequence of the *pre-routing* global batch (0 = WAL disabled).
+    /// The log stores the original wire batch; replay re-routes it, which
+    /// reproduces the same parts deterministically.
     uint64_t wal_seq = 0;
+    /// Version of the partition map that routed `parts`. Producers route
+    /// outside the lock; if a live resize lands in between, the version
+    /// mismatch under the lock triggers a re-route under the new map.
+    uint64_t map_version = 0;
   };
 
-  /// A batch awaiting its freshness measurement: retained from dequeue
-  /// until a tick confirms a cluster touching one of its endpoints (or the
-  /// pending list overflows).
+  /// A wire batch awaiting its confirmed-cluster publish (freshness SLO),
+  /// keyed on the batch's global entity set (mirrors dedup away in the
+  /// sorted-unique endpoint list).
   struct FreshnessMeta {
     std::string tenant;
     double arrival_seconds = 0;
@@ -151,111 +203,226 @@ class StreamServer : public Server {
     std::vector<graph::VertexId> entities;  ///< sorted unique endpoints
   };
 
+  enum class TickOutcome { kOk, kAbandoned, kCancelled, kFatal };
+
+  /// Epoch-stamped entity interning scratch, reusable across ticks.
+  struct EntityIntern {
+    std::vector<uint32_t> epoch_of;
+    std::vector<graph::VertexId> local_of;
+    uint32_t epoch = 0;
+
+    void EnsureUniverse(size_t universe);
+    void Bump();
+    bool Has(graph::VertexId g) const { return epoch_of[g] == epoch; }
+    graph::VertexId Intern(graph::VertexId g,
+                           std::vector<graph::VertexId>* entities);
+  };
+
+  /// Per-shard tick scratch: window range, interned active entities, and
+  /// the shard-local union-find over them.
+  struct ShardScratch {
+    size_t lo = 0, hi = 0;
+    EntityIntern intern;
+    std::vector<graph::VertexId> entities;  ///< local -> entity
+    std::vector<graph::VertexId> uf;        ///< local -> parent local
+    /// Edges this shard contributes to each owner (src-owned copies only,
+    /// canonical order within each bucket).
+    std::vector<std::vector<graph::TimedEdge>> owner_buckets;
+  };
+
+  /// Per-owner tick workspace and results.
+  struct OwnerWork {
+    std::vector<graph::TimedEdge> edges;  ///< merged canonical order
+    std::vector<graph::TimedEdge> merge_tmp;
+    /// Shard whose bucket was moved into `edges` instead of merge-copied
+    /// (the owner's only non-empty bucket), or -1. The buffer goes back to
+    /// that bucket before the next tick's bucketing, so one copy of the
+    /// owner's window edges exists at a time.
+    int borrowed_from = -1;
+    graph::SlidingWindow::Scratch scratch;
+    graph::WindowSnapshot snap;
+    /// first_edge[v] = index into `edges` of the edge local v first appears
+    /// in: the key that places this owner's local ids in the window's
+    /// first-appearance order.
+    std::vector<size_t> first_edge;
+    /// gid[v] = local v's id in the window's canonical local-id space.
+    std::vector<graph::VertexId> gid;
+    std::vector<graph::Label> warm_init;  ///< owner-local warm init
+    pipeline::PipelineResult result;
+    Status status;
+    TickOutcome outcome = TickOutcome::kOk;
+    bool ran = false;   ///< detection produced a result this tick
+    bool warm = false;  ///< the successful attempt was warm-started
+    double wall_seconds = 0;
+    int64_t num_components = 0;
+    int64_t reused = 0;  ///< clusters reused verbatim (incremental delta)
+  };
+
+  glp::ThreadPool* pool() const;
   void DetectLoop();
-  /// Returns false when a fatal error must stop the detection loop.
   bool RunDueTicks();
   TickOutcome RunTick(double end_time);
-  std::vector<graph::Label> MapWarmLabels(const graph::WindowSnapshot& cur);
-  /// Assembles the incremental-detection input for this tick from the
-  /// tracker's dirty set, the persistent anchors, and the record cache.
-  /// Sets *ok to false (forcing the full path) if any invariant does not
-  /// hold (e.g. a clean component's anchor missing from the snapshot).
-  pipeline::DetectDelta BuildDetectDelta(const graph::WindowSnapshot& cur,
-                                         bool extract_all, bool* ok);
-  /// Validates one ingest batch (timestamps finite and non-negative, ids in
-  /// range) — see ServerConfig::entity_id_limit.
+  /// Computes shard k's window range and local connected components.
+  void ShardComponents(int k, double start_time, double end_time);
+  /// Serial boundary stitch: merges shard-local components into global
+  /// ones over shared entities, then assigns each component an owner
+  /// shard. Returns the number of components per owner.
+  void StitchComponents();
+  /// Scatters shard k's src-owned window edges into per-owner buckets.
+  void BucketShardEdges(int k);
+  /// Merges owner o's buckets, builds its snapshot (+ warm labels), and
+  /// runs detection through the retry/degradation ladder. With `use_delta`
+  /// set, builds a pipeline::DetectDelta from the fleet tracker's exported
+  /// dirty flags so LP runs only on this owner's dirty components.
+  void RunOwnerDetection(int o, double window_start, double window_end,
+                         bool degraded, bool warm_wanted, bool use_delta);
+  /// Fills OwnerWork::gid for every owner that ran: merges the owners'
+  /// local-id sequences by first-appearance edge into the window's
+  /// canonical order. Returns the window's vertex count.
+  size_t AssignWindowLocalIds();
+  /// Incremental mode: advances every shard's range cursor and updates the
+  /// fleet-wide union-find — by per-shard deltas when all are exact (and
+  /// the serve.incremental_rebuild failpoint stays quiet), by a full
+  /// multi-window rebuild otherwise. Sets shards_[k].{lo,hi} and refreshes
+  /// owner_of_ for dirty components. Returns whether the delta path ran.
+  bool UpdateIncrementalTracker(double start_time, double end_time);
+  /// Full owner_of_ recompute from the tracker (rebuild/restore paths):
+  /// owner = pmap_->PartOf(component min entity), plus per-owner
+  /// component counts for the components_owned gauges.
+  void RefreshOwnersFromTracker();
   bool ValidBatch(const std::vector<graph::TimedEdge>& batch) const;
-  /// Sleeps the capped exponential backoff for `attempt`, polling the stop
-  /// token; returns false if stopped meanwhile.
+  /// The admission ladder behind Ingest and TryIngest: validate, route,
+  /// then enqueue — waiting on a full queue when `block` is set, shedding
+  /// (kQueueFull) otherwise.
+  Admit AdmitBatch(std::vector<graph::TimedEdge> batch, IngestContext ctx,
+                   bool block);
+  /// Routes a validated batch into per-shard sub-batches under `map`
+  /// (mirroring cross-shard edges); shared by Ingest, TryIngest, WAL
+  /// replay, and migration re-routing. Reads `batch` without consuming it
+  /// so a racing resize can re-route from the original.
+  RoutedBatch RouteBatch(const std::vector<graph::TimedEdge>& batch,
+                         const pipeline::PartitionMap& map) const;
+  /// The migration itself: quiesce point already reached (detection
+  /// thread with an empty-or-owned queue, or pre-Start caller). Builds the
+  /// target shape off to the side, then commits it under mu_ — any
+  /// failure (or the "serve.reshard" failpoint) before that leaves the
+  /// old shape untouched. Re-routes still-queued batches, rebuilds
+  /// cursors/scratch/incremental tracker, re-registers per-shard
+  /// instruments, and writes a fresh checkpoint of the new shape (the
+  /// durable commit point).
+  Status MigrateToShardCount(int target);
+  /// Heat-driven automatic resize decision (ReshardPolicy), evaluated on
+  /// the detection thread after successful ticks.
+  void MaybeAutoReshard();
+  /// Grows shard_ins_ (and the per-shard metric families) to cover n
+  /// shards; gauges of shards beyond the live count are zeroed.
+  void EnsureShardInstruments(int n);
   bool Backoff(int attempt);
-  /// Records a fatal tick error; DetectLoop exits and wakes producers.
   void RecordError(const Status& status);
-  /// Builds and writes one snapshot (detection-thread state; callers must
-  /// guarantee the detection thread is quiescent or be the thread itself).
+  /// Builds and writes one fleet snapshot (detection-thread state).
   Status DoWriteCheckpoint();
   /// Opens the WAL per DurabilityPolicy (idempotent; no-op when disabled).
   Status EnsureWalOpen();
-  /// Appends one admitted batch to the WAL under mu_ (so sequence order
-  /// matches queue order) and stamps qb->wal_seq. Returns kAlreadyExists
-  /// for a replicated duplicate (caller acks without enqueueing) and any
-  /// other failure to reject the batch — the log must contain exactly the
-  /// batches the detection thread will consume.
+  /// Appends the pre-routing global batch to the WAL under mu_ (so
+  /// sequence order matches queue order) and stamps rb->wal_seq. Returns
+  /// kAlreadyExists for a replicated duplicate (caller acks without
+  /// enqueueing) and any other failure to reject the batch — the log must
+  /// hold exactly the batches the detection thread will consume.
   Status AppendToWalLocked(const std::vector<graph::TimedEdge>& batch,
-                           const IngestContext& ctx, QueuedBatch* qb);
-  /// Emits the batch's queue-wait span and retains its freshness stamp
-  /// (detection thread, right after dequeue).
-  void NoteBatchDequeued(const QueuedBatch& qb, double pop_seconds);
-  /// Resolves freshness for pending batches whose endpoints appear in this
-  /// tick's newly confirmed clusters: observes wire-arrival -> publish into
-  /// the per-tenant freshness histogram (with the batch's trace exemplar).
+                           const IngestContext& ctx, RoutedBatch* rb);
+  /// Publishes the Wal's internal counters into the registry instruments.
+  void PublishWalStats();
+  /// Records the batch's queue-wait span (client trace context) and
+  /// stashes its freshness metadata when the arrival stamp is present.
+  void NoteBatchDequeued(const RoutedBatch& rb, double pop_seconds);
+  /// Matches pending freshness entries against this tick's newly confirmed
+  /// clusters and observes glp_serve_freshness_seconds per tenant.
   void ObserveFreshness(const TickResult& tr);
-  /// Assembles the tick's span tree (root "serve.tick" + drained children)
-  /// into the flight recorder; optionally auto-dumps the tree to the log
-  /// (deadline overrun / abandoned / fatal).
-  void FinishTickTrace(int64_t tick, double end_time, const char* outcome,
+  /// Seals the current tick's trace: drains collected spans, prepends the
+  /// root serve.tick span, records into the flight recorder, and dumps the
+  /// tick JSON to the log when `dump` is set.
+  void FinishTickTrace(int64_t tick, double window_end, const char* outcome,
                        double start_seconds, double wall_seconds, bool dump);
   obs::Histogram* FreshnessHistogram(const std::string& tenant);
 
   ServerConfig config_;
+  /// Live shard count. Written only at construction and at a migration
+  /// commit (under mu_); atomic so num_shards() and producer-side checks
+  /// read it without the lock.
+  std::atomic<int> num_shards_;
+  /// The routing map (never null). Swapped only at a migration commit
+  /// under mu_; producers snapshot the shared_ptr under mu_ and route
+  /// outside it, the detection thread reads it freely (it is the only
+  /// writer).
+  std::shared_ptr<const pipeline::PartitionMap> pmap_;
   std::vector<Subscriber> subscribers_;
 
-  // Detection-thread state (no locking: only that thread touches these).
-  graph::SlidingWindow window_;
-  graph::SlidingWindowCursor cursor_;
+  // Detection-thread state.
+  std::vector<graph::SlidingWindow> windows_;
+  uint64_t global_edges_ = 0;  ///< stream edges appended (mirrors excluded)
   bool tick_schedule_primed_ = false;
   double next_tick_end_ = 0;
   int64_t num_ticks_ = 0;
-  /// Wall time of the last completed tick — the deadline ladder's overload
-  /// signal.
   double last_tick_wall_seconds_ = 0;
-  /// A due cold refresh was postponed by the degradation ladder.
   bool refresh_pending_ = false;
   int64_t last_checkpoint_tick_ = -1;
-  /// Highest WAL sequence consumed into the window (detection thread).
-  /// Checkpoints record it; segments at or below it are pruned after a
-  /// successful snapshot.
+  /// Highest WAL sequence consumed into the shard windows (detection
+  /// thread); fleet checkpoints record it, pruning runs against it.
   uint64_t consumed_wal_seq_ = 0;
-  // Previous tick's state for warm start + diffing.
   bool have_prev_ = false;
-  std::vector<graph::VertexId> prev_l2g_;
-  std::vector<graph::Label> prev_labels_;
+  /// Warm anchors: warm_anchor_[entity] = the entity whose local id was
+  /// its label on the previous tick (the global re-expression of prev
+  /// labels), kInvalidVertex for none.
+  std::vector<graph::VertexId> warm_anchor_;
   std::set<std::vector<graph::VertexId>> prev_confirmed_;
-  // Incremental serving state (ServerConfig::incremental; DESIGN.md §4.10).
+
+  // Tick scratch (detection thread + pool workers during a tick).
+  size_t universe_ = 0;  ///< max entity id + 1 across shards
+  std::vector<ShardScratch> shards_;
+  std::vector<OwnerWork> owners_;
+  EntityIntern stitch_intern_;
+  std::vector<graph::VertexId> stitch_entities_;
+  std::vector<graph::VertexId> stitch_uf_;
+  std::vector<graph::VertexId> comp_min_entity_;
+  /// owner_of_[entity] — valid for entities stamped in stitch_intern_; in
+  /// incremental mode, persistent across ticks for all in-window entities
+  /// (refreshed for dirty components each tick).
+  std::vector<uint8_t> owner_of_;
+
+  // Incremental serving (config_.tick.incremental; DESIGN.md §4.10): one
+  // fleet-wide persistent union-find fed by per-shard window deltas — it
+  // replaces the per-shard union-finds and the boundary stitch entirely on
+  // exact ticks — plus the carried-over label anchors and cluster-record
+  // cache that make clean components free.
+  std::vector<graph::WindowRangeCursor> range_cursors_;  ///< one per shard
   IncrementalTracker inc_tracker_;
-  /// Entity -> its component's label anchor entity, as of the last
-  /// successful exact tick; carries clean-component labels across ticks.
+  /// anchor_of_[entity] = the entity whose owner-snapshot local id was this
+  /// entity's published label last tick.
   std::vector<graph::VertexId> anchor_of_;
-  /// Anchors (and prev labels) are canonical — false after a degraded or
-  /// abandoned tick, or an empty window; forces a full rebuild next tick.
+  /// Dirty flags for the current tick, exported before the parallel
+  /// owner fan-out so workers never race on the union-find.
+  std::vector<uint8_t> entity_dirty_;
   bool inc_reuse_ok_ = false;
-  /// Cluster-record cache from the last successful tick; the label anchor
-  /// is the record's label re-expressed as a portable entity id.
   struct ClusterRecord {
     pipeline::SuspiciousCluster cluster;
-    graph::VertexId label_anchor;
+    graph::VertexId label_anchor;  ///< owner-snapshot anchor entity
   };
   std::vector<ClusterRecord> records_;
   bool records_valid_ = false;
-  // Epoch-stamped entity->local maps reused across ticks.
-  struct EntityMap {
-    std::vector<uint32_t> epoch_of;
-    std::vector<graph::VertexId> local_of;
-    uint32_t epoch = 0;
-  };
-  EntityMap prev_map_, cur_map_;
+  /// Indices into records_ reusable this tick, bucketed by owner shard.
+  std::vector<std::vector<size_t>> owner_records_;
+  std::vector<graph::VertexId> comp_min_scratch_;
 
-  // Shared state.
+  // Shared state, guarded by mu_.
   mutable std::mutex mu_;
-  std::condition_variable queue_cv_;       // signals the detection thread
-  std::condition_variable not_full_cv_;    // signals blocked producers
-  std::condition_variable drained_cv_;     // signals Flush
-  std::deque<QueuedBatch> queue_;
+  std::condition_variable queue_cv_;
+  std::condition_variable not_full_cv_;
+  std::condition_variable drained_cv_;
+  std::deque<RoutedBatch> queue_;
   bool started_ = false;
   bool stopping_ = false;
-  /// Detection thread died on a fatal error: producers are woken and
-  /// rejected instead of blocking forever on a queue nobody drains.
   bool dead_ = false;
-  bool busy_ = false;  // detection thread is processing a popped batch
+  bool busy_ = false;
   double ingested_max_time_ = 0;
   Status last_error_ = Status::OK();
   // On-demand checkpoint handshake (public WriteCheckpoint while running):
@@ -264,10 +431,17 @@ class StreamServer : public Server {
   bool checkpoint_requested_ = false;
   Status checkpoint_status_ = Status::OK();
   std::condition_variable checkpoint_done_cv_;
+  // Live-resize handshake (same protocol as the checkpoint one): Resize()
+  // parks the target count here, the detection thread migrates at its next
+  // quiesce point (queue drained) and reports back.
+  int resize_requested_ = 0;
+  Status resize_status_ = Status::OK();
+  std::condition_variable resize_done_cv_;
+  /// Tick of the last automatic resize decision (cooldown anchor).
+  int64_t last_reshard_tick_ = 0;
 
-  // Telemetry: all counters/gauges live in the registry; the instrument
-  // handles below are resolved once at construction and bumped lock-free
-  // from whichever thread holds the event.
+  // Telemetry: aggregate glp_serve_* instruments (ServerStats-compatible)
+  // plus per-shard families labeled {shard="k"}.
   std::unique_ptr<obs::MetricRegistry> owned_registry_;
   obs::MetricRegistry* registry_ = nullptr;
   struct Instruments {
@@ -282,7 +456,6 @@ class StreamServer : public Server {
     obs::Gauge* queue_depth;
     obs::Gauge* queue_peak;
     obs::Gauge* ingest_lag_days;
-    // Resilience instruments.
     obs::Counter* batches_rejected_invalid;
     obs::Counter* batches_rejected_failpoint;
     obs::Counter* batches_dropped;
@@ -296,12 +469,10 @@ class StreamServer : public Server {
     obs::Counter* cold_refresh_deferred;
     obs::Counter* checkpoints_ok;
     obs::Counter* checkpoints_failed;
-    // Incremental serving.
     obs::Gauge* dirty_components;
     obs::Counter* reused_clusters;
     obs::Counter* incremental_rebuilds;
-    // Durability (glp_serve_wal_*; null pointers are never resolved lazily
-    // — all are created at construction even when the WAL is off).
+    // Durability (glp_serve_wal_*).
     obs::Counter* wal_appends_ok;
     obs::Counter* wal_appends_failed;
     obs::Counter* wal_duplicates;
@@ -313,36 +484,41 @@ class StreamServer : public Server {
     obs::Gauge* wal_last_seq;
     obs::Gauge* wal_epoch;
     obs::Gauge* wal_segments;
+    // Elastic resharding (glp_serve_reshard_*).
+    obs::Counter* reshards_ok;
+    obs::Counter* reshards_aborted;  ///< pre-commit failure or failpoint
+    obs::Gauge* num_shards_gauge;
+    obs::Histogram* reshard_pause_seconds;  ///< migration quiesce-to-resume
   };
   Instruments ins_{};
-  /// Publishes the Wal's internal counters into the instruments above
-  /// (called after WAL operations; cheap — a handful of relaxed stores).
-  void PublishWalStats();
+  struct ShardInstruments {
+    obs::Histogram* tick_seconds;   ///< per-owner detection wall time
+    obs::Counter* edges_routed;     ///< owned edges appended
+    obs::Counter* edges_mirrored;   ///< mirrored copies appended
+    obs::Gauge* window_edges;       ///< shard window size (incl. mirrors)
+    obs::Gauge* components_owned;   ///< components this shard detected
+    /// In-window routed edges last tick (incl. mirrors) — the heat signal
+    /// ReshardPolicy's automatic rebalance decision reads.
+    obs::Gauge* inwindow_edges;
+  };
+  std::vector<ShardInstruments> shard_ins_;
 
-  // Tracing (TracePolicy; DESIGN.md §4.12). The sampler mints tick trace
-  // ids; the sink collects one in-flight tick's spans (thread-safe — the
-  // pipeline pushes from the detection thread, sharded owners from
-  // workers); the recorder keeps the last K finished trees. All strictly
-  // observational: none of these feed back into detection.
+  // Tracing + freshness SLO (DESIGN.md §4.12). span_sink_ is mutex-guarded,
+  // so pool workers (per-owner detection) append spans concurrently;
+  // tick_trace_/tick_root_span_ are written by the detection thread before
+  // the fan-out and read-only inside it.
   obs::TraceSampler sampler_;
   obs::SpanSink span_sink_;
   std::unique_ptr<obs::FlightRecorder> recorder_;
-  /// Root span id of the in-flight tick (0 outside RunTick).
   uint64_t tick_root_span_ = 0;
-  /// The in-flight tick's trace context.
   obs::SpanContext tick_trace_;
-  // Freshness SLO state (detection thread only).
   std::vector<FreshnessMeta> pending_freshness_;
   std::map<std::string, obs::Histogram*> freshness_hist_;
-  /// Bound on retained unresolved freshness stamps (oldest dropped first).
   static constexpr size_t kMaxPendingFreshness = 4096;
 
-  // Durability (DurabilityPolicy; DESIGN.md §4.13). The Wal is internally
-  // thread-safe; the pointer is installed before Start() (EnsureWalOpen)
-  // and never reassigned while the server runs.
+  // Durability (DurabilityPolicy; DESIGN.md §4.13): one fleet-wide WAL of
+  // pre-routing wire batches.
   std::unique_ptr<wal::Wal> wal_;
-  /// Cumulative WAL fsync/byte/prune counts already published to the
-  /// registry (the registry counters are monotonic; these track deltas).
   uint64_t wal_published_fsyncs_ = 0;
   uint64_t wal_published_bytes_ = 0;
   uint64_t wal_published_pruned_ = 0;

@@ -1,11 +1,10 @@
-// serve::Server — the serving layer's one polymorphic surface (PR 7 API
-// redesign). StreamServer (1 shard) and ShardedStreamServer (N shards)
-// implement it; the replay tool, the checkpoint plumbing, and the network
-// ingest frontend (serve/net/) all program against this interface, so shard
-// count is a construction-time choice (MakeServer) rather than something
-// every consumer special-cases.
+// serve::Server — the serving layer's polymorphic surface. StreamServer
+// (serve/server.h) implements it for any shard count; the replay tool, the
+// checkpoint plumbing, and the network ingest frontend (serve/net/) all
+// program against this interface, so consumers never special-case the
+// fleet shape, which MakeServer picks and Resize changes live.
 //
-// Contract highlights shared by every implementation:
+// Contract highlights:
 //  - Ticks fire on the absolute grid k * tick.every_days once ingested data
 //    crosses a boundary; output is invariant to how the stream is cut into
 //    batches (the network path leans on this for its exactness guarantee).
@@ -70,7 +69,10 @@ struct TickResult {
   /// Whether this tick's LP was warm-started from the previous tick.
   bool warm = false;
 
-  /// Full pipeline output (clusters, metrics, LP cost accounting).
+  /// Full pipeline output (clusters, metrics, LP cost accounting). Labels
+  /// are in the window's canonical local-id space whatever the shard
+  /// count: lp.labels and cluster labels use the ids a one-shot snapshot
+  /// of the window assigns, and clusters come in label order.
   pipeline::PipelineResult detection;
 
   /// Confirmed-cluster diff vs the previous tick, as sorted global-id
@@ -85,8 +87,8 @@ struct TickResult {
   /// trails the stream head.
   double ingest_lag_days = 0;
 
-  /// The warm-start initial labels used (only when
-  /// ServerConfig::record_warm_labels; empty on cold ticks).
+  /// The warm-start initial labels used, in the same local-id space (only
+  /// when ServerConfig::record_warm_labels; empty on cold ticks).
   std::vector<graph::Label> warm_labels;
 };
 
@@ -220,16 +222,8 @@ class Server {
   /// caller blocks until it commits or aborts); before Start() it runs
   /// inline, which is how an offline restore is re-shaped. A failure
   /// before the commit point leaves the fleet on its old shape — retry is
-  /// always safe. The base implementation only accepts the no-op resize:
-  /// StreamServer is structurally one shard (restore its checkpoint into a
-  /// ShardedStreamServer to scale out — checkpoints are shape-portable).
-  virtual Status Resize(int new_num_shards) {
-    if (new_num_shards == num_shards()) return Status::OK();
-    return Status::InvalidArgument(
-        "this server cannot resize to " + std::to_string(new_num_shards) +
-        " shards; restore its (shape-portable) checkpoint into a "
-        "ShardedStreamServer instead");
-  }
+  /// always safe.
+  virtual Status Resize(int new_num_shards) = 0;
 
   /// First non-cancellation error a tick produced, if any. Transient
   /// errors absorbed by a successful retry are not recorded.
@@ -248,7 +242,7 @@ class Server {
   /// service) to watch the server live.
   virtual obs::MetricRegistry* metrics() const = 0;
 
-  /// Detection shards behind this server (1 for StreamServer).
+  /// Detection shards behind this server.
   virtual int num_shards() const = 0;
 
   /// The write-ahead log when DurabilityPolicy is enabled (opened by
@@ -263,10 +257,9 @@ class Server {
   virtual const obs::FlightRecorder* flight_recorder() const = 0;
 };
 
-/// Constructs the right Server for `num_shards`: StreamServer for 1,
-/// ShardedStreamServer for N > 1. The one place shard count is decided.
-/// Non-positive counts are a caller bug and return nullptr (logged) —
-/// never a silently defaulted 1-shard server.
+/// Constructs a StreamServer over `num_shards` shards. Non-positive counts
+/// are a caller bug and return nullptr (logged) — never a silently
+/// defaulted 1-shard server.
 std::unique_ptr<Server> MakeServer(ServerConfig config, int num_shards = 1);
 
 }  // namespace glp::serve

@@ -95,6 +95,10 @@ void Observe(Server* server, std::map<int64_t, TickObservation>* out) {
   server->Subscribe([out](const TickResult& t) {
     TickObservation obs;
     obs.labels = t.detection.lp.labels;
+    // One label per window vertex: the equality checks below must never
+    // pass only because both sides are empty.
+    EXPECT_EQ(obs.labels.size(), t.detection.window_vertices)
+        << "tick end " << t.window_end;
     for (const auto& c : t.detection.clusters) {
       if (c.confirmed) obs.confirmed.insert(c.members);
     }

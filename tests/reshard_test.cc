@@ -1,7 +1,7 @@
 // Elastic resharding tests (DESIGN.md §4.14): checkpoints are portable
-// across fleet sizes — an N-shard snapshot restores into an M-shard server
-// (including the flat 1-shard StreamServer in either direction) and a live
-// fleet resizes without losing or duplicating an edge. The acceptance
+// across fleet sizes — an N-shard snapshot (or a flat single-file one)
+// restores into an M-shard server — and a live fleet, one shard included,
+// resizes without losing or duplicating an edge. The acceptance
 // invariant mirrors shard_test's: after any resize, the confirmed-cluster
 // stream is identical (up to renumbering) to an uninterrupted run, and the
 // armed serve.reshard failpoint proves an aborted migration publishes
@@ -13,8 +13,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,7 +27,6 @@
 #include "serve/checkpoint.h"
 #include "serve/server.h"
 #include "serve/server_iface.h"
-#include "serve/sharded_server.h"
 #include "util/failpoint.h"
 
 namespace glp::serve {
@@ -112,8 +113,7 @@ void ExpectSameView(const TickView& got, const TickView& want, int64_t key) {
   EXPECT_EQ(got.window_edges, want.window_edges) << "tick " << key;
 }
 
-/// Uninterrupted N-shard replay through MakeServer (N=1 exercises the flat
-/// StreamServer, so the matrix covers flat<->sharded portability too).
+/// Uninterrupted N-shard replay through MakeServer.
 std::map<int64_t, TickView> RunFleet(const ServerConfig& cfg, int num_shards,
                                      const std::vector<TimedEdge>& ordered) {
   std::map<int64_t, TickView> out;
@@ -223,8 +223,8 @@ TEST_F(ReshardTest, ManifestV3RoundTripsPartitionMap) {
 // ---------------------------------------------------------------------------
 
 // The tentpole acceptance matrix: checkpoint under N shards mid-stream,
-// restore the directory into an M-shard server (N != M, both including the
-// flat 1-shard implementation), replay the rest — every tick after the
+// restore the directory into an M-shard server (N != M, both including one
+// shard), replay the rest — every tick after the
 // restore point must match the uninterrupted baseline exactly.
 TEST_F(ReshardTest, OfflineResizeMatrixReproducesBaseline) {
   const auto stream = pipeline::GenerateTransactions(SmallStreamConfig());
@@ -287,6 +287,67 @@ TEST_F(ReshardTest, OfflineResizeMatrixReproducesBaseline) {
       EXPECT_EQ(static_cast<int64_t>(want.size()),
                 restored.value().tick + static_cast<int64_t>(got.size()));
     }
+  }
+}
+
+// Flat single-file checkpoints are no longer written, but snapshots already
+// on disk must still restore: re-express a fleet snapshot as a flat file,
+// restore it into 1 and 3 shards, and replay the rest exactly.
+TEST_F(ReshardTest, FlatCheckpointFilesStillRestore) {
+  const auto stream = pipeline::GenerateTransactions(SmallStreamConfig());
+  const auto ordered = CanonicalEdges(stream);
+  const ServerConfig cfg = ColdServerConfig(stream);
+  const auto want = RunFleet(cfg, 1, ordered);
+  ASSERT_GE(want.size(), 6u);
+
+  const std::string fleet_dir = MakeTempDir("flat_src");
+  ServerConfig cfg_a = cfg;
+  cfg_a.checkpoint.dir = fleet_dir;
+  cfg_a.checkpoint.every_ticks = 1;
+  {
+    std::unique_ptr<Server> server = MakeServer(cfg_a, 2);
+    ASSERT_TRUE(server->Start().ok());
+    auto batches = BatchEdges(ordered, 1000);
+    for (size_t i = 0; i < batches.size() / 2; ++i) {
+      ASSERT_TRUE(server->Ingest(std::move(batches[i])));
+    }
+    server->Flush();
+    server->Stop();
+    ASSERT_TRUE(server->last_error().ok());
+  }
+  auto port = LoadPortableCheckpoint(fleet_dir);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+  const std::string flat_dir = MakeTempDir("flat_dst");
+  ASSERT_TRUE(SaveCheckpoint(
+                  flat_dir + "/" + CheckpointFileName(port.value().data.tick),
+                  port.value().data)
+                  .ok());
+
+  for (const int m : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(m));
+    std::map<int64_t, TickView> got;
+    std::unique_ptr<Server> server = MakeServer(cfg, m);
+    server->Subscribe(
+        [&](const TickResult& t) { got[TickKey(t.window_end)] = ViewOf(t); });
+    auto restored = server->RestoreFromCheckpoint(flat_dir);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(restored.value().tick, port.value().data.tick);
+    ASSERT_TRUE(server->Start().ok());
+    for (auto& batch :
+         BatchEdges(ordered, 1000,
+                    static_cast<size_t>(restored.value().num_edges))) {
+      ASSERT_TRUE(server->Ingest(std::move(batch)));
+    }
+    server->Flush();
+    server->Stop();
+    ASSERT_TRUE(server->last_error().ok()) << server->last_error().ToString();
+    ASSERT_FALSE(got.empty());
+    for (const auto& [key, view] : got) {
+      ASSERT_TRUE(want.count(key)) << "unexpected tick " << key;
+      ExpectSameView(view, want.at(key), key);
+    }
+    EXPECT_EQ(static_cast<int64_t>(want.size()),
+              restored.value().tick + static_cast<int64_t>(got.size()));
   }
 }
 
@@ -418,7 +479,7 @@ TEST_F(ReshardTest, CorruptManifestStillFailsCleanly) {
     std::fclose(f);
   }
   ServerConfig cfg;
-  ShardedStreamServer server(cfg, 2);
+  StreamServer server(cfg, 2);
   auto r = server.RestoreFromCheckpoint(dir);
   ASSERT_FALSE(r.ok());
   // The torn manifest is skipped, leaving nothing loadable.
@@ -442,7 +503,7 @@ TEST_F(ReshardTest, LiveResizeKeepsTickStreamIdentical) {
 
   std::map<int64_t, TickView> got;
   std::set<std::vector<VertexId>> diff_state;
-  ShardedStreamServer server(cfg, 2);
+  StreamServer server(cfg, 2);
   server.Subscribe([&](const TickResult& t) {
     got[TickKey(t.window_end)] = ViewOf(t);
     // Replay the confirmed diff stream; a broken hand-off across the
@@ -496,7 +557,7 @@ TEST_F(ReshardTest, AbortedMigrationPublishesNothingAndRetries) {
   ASSERT_GE(want.size(), 6u);
 
   std::map<int64_t, TickView> got;
-  ShardedStreamServer server(cfg, 2);
+  StreamServer server(cfg, 2);
   server.Subscribe(
       [&](const TickResult& t) { got[TickKey(t.window_end)] = ViewOf(t); });
   ASSERT_TRUE(server.Start().ok());
@@ -557,7 +618,7 @@ TEST_F(ReshardTest, AutoReshardGrowsFleetWithoutDivergence) {
   cfg.reshard.max_shards = 4;
   cfg.reshard.cooldown_ticks = 1;
   std::map<int64_t, TickView> got;
-  ShardedStreamServer server(cfg, 2);
+  StreamServer server(cfg, 2);
   server.Subscribe(
       [&](const TickResult& t) { got[TickKey(t.window_end)] = ViewOf(t); });
   ASSERT_TRUE(server.Start().ok());
@@ -577,16 +638,44 @@ TEST_F(ReshardTest, AutoReshardGrowsFleetWithoutDivergence) {
   }
 }
 
-// StreamServer structurally cannot resize, but its checkpoints scale out:
-// the base Resize explains the path, and a flat snapshot restores into a
-// sharded fleet (covered in the matrix above). Verify the error contract.
-TEST_F(ReshardTest, FlatServerRejectsResizeButAcceptsNoOp) {
-  ServerConfig cfg;
-  StreamServer server(cfg);
-  EXPECT_TRUE(server.Resize(1).ok());
-  const Status st = server.Resize(3);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+// A fleet that starts on one shard grows and shrinks back live: 1 -> 3 ->
+// 1 mid-stream through the Server interface. The confirmed-diff stream,
+// tick for tick, must equal an uninterrupted 1-shard run's.
+TEST_F(ReshardTest, OneShardFleetResizesLiveAndBack) {
+  const auto stream = pipeline::GenerateTransactions(SmallStreamConfig());
+  const auto ordered = CanonicalEdges(stream);
+  const ServerConfig cfg = ColdServerConfig(stream);
+  using Diff = std::tuple<int64_t, std::vector<std::vector<VertexId>>,
+                          std::vector<std::vector<VertexId>>>;
+  auto run = [&](bool resize) {
+    std::vector<Diff> diffs;
+    std::unique_ptr<Server> server = MakeServer(cfg, 1);
+    server->Subscribe([&](const TickResult& t) {
+      diffs.emplace_back(TickKey(t.window_end), t.new_confirmed,
+                         t.expired_confirmed);
+    });
+    EXPECT_TRUE(server->Start().ok());
+    auto batches = BatchEdges(ordered, 1000);
+    const size_t third = batches.size() / 3;
+    for (size_t i = 0; i < batches.size(); ++i) {
+      if (resize && i == third) {
+        EXPECT_TRUE(server->Resize(3).ok());
+        EXPECT_EQ(server->num_shards(), 3);
+      } else if (resize && i == 2 * third) {
+        EXPECT_TRUE(server->Resize(1).ok());
+        EXPECT_EQ(server->num_shards(), 1);
+      }
+      EXPECT_TRUE(server->Ingest(std::move(batches[i])));
+    }
+    server->Flush();
+    EXPECT_EQ(server->stats().ticks_failed, 0);
+    server->Stop();
+    EXPECT_TRUE(server->last_error().ok()) << server->last_error().ToString();
+    return diffs;
+  };
+  const std::vector<Diff> want = run(/*resize=*/false);
+  ASSERT_GE(want.size(), 6u);
+  EXPECT_EQ(run(/*resize=*/true), want);
 }
 
 }  // namespace

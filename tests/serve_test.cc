@@ -7,8 +7,10 @@
 #include <chrono>
 #include <cstddef>
 #include <limits>
+#include <memory>
 #include <random>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "glp/variants/classic.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/transactions.h"
+#include "prof/prof.h"
 #include "serve/server.h"
 
 namespace glp::serve {
@@ -610,6 +613,40 @@ TEST(ServeTest, MakeServerRejectsNonPositiveShardCounts) {
   auto one = MakeServer(cfg, 1);
   ASSERT_NE(one, nullptr);
   EXPECT_EQ(one->num_shards(), 1);
+}
+
+// ServerConfig::profiler receives the LP engines' phase breakdown whatever
+// the shard count: owners detect one after another when a profiler is
+// attached, so the single-threaded PhaseProfiler is never shared.
+TEST(ServeTest, ProfilerRecordsLpPhasesForEveryShardCount) {
+  const auto stream = pipeline::GenerateTransactions(SmallStreamConfig());
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    prof::PhaseProfiler profiler;
+    ServerConfig cfg;
+    cfg.detect.window_days = 15;
+    cfg.detect.engine = lp::EngineKind::kSeq;
+    cfg.seeds = stream.seeds;
+    cfg.tick.every_days = 5.0;
+    cfg.profiler = &profiler;
+    std::unique_ptr<Server> server = MakeServer(cfg, shards);
+    int64_t ticks = 0;
+    server->Subscribe([&](const TickResult& t) {
+      ticks += t.detection.window_vertices > 0;
+    });
+    ASSERT_TRUE(server->Start().ok());
+    for (auto& batch : BatchStream(stream, 1000)) {
+      ASSERT_TRUE(server->Ingest(std::move(batch)));
+    }
+    server->Flush();
+    server->Stop();
+    ASSERT_TRUE(server->last_error().ok()) << server->last_error().ToString();
+    ASSERT_GT(ticks, 0);
+    const prof::PhaseBreakdown& breakdown = profiler.breakdown();
+    EXPECT_TRUE(breakdown.enabled);
+    EXPECT_GT(breakdown[prof::Phase::kCompute].seconds, 0.0);
+    EXPECT_GT(breakdown.SumSeconds(), 0.0);
+  }
 }
 
 }  // namespace

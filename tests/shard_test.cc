@@ -1,6 +1,6 @@
-// Sharded-fleet tests (DESIGN.md §4.9): the N-shard ShardedStreamServer
-// must reproduce the 1-shard StreamServer's confirmed clusters exactly (up
-// to cluster renumbering) on cold canonical replay, stay equivalent under a
+// Sharded-fleet tests (DESIGN.md §4.9): an N-shard StreamServer must
+// reproduce the 1-shard server's ticks exactly — clusters, labels and
+// per-vertex labels alike — on cold canonical replay, stay equivalent under a
 // transient-fault chaos schedule, restore atomically from per-shard
 // checkpoints — including falling back to the previous complete snapshot
 // when one shard file of the newest manifest is lost — and the sharded
@@ -13,6 +13,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,7 +22,6 @@
 #include "pipeline/transactions.h"
 #include "serve/checkpoint.h"
 #include "serve/server.h"
-#include "serve/sharded_server.h"
 #include "util/failpoint.h"
 
 namespace glp::serve {
@@ -63,7 +63,7 @@ std::vector<std::vector<TimedEdge>> BatchEdges(
 
 /// Cold, fixed-iteration configuration: with warm start off and a fixed
 /// synchronous iteration count, per-component LP is order-isomorphic to the
-/// global run, so shard-count equivalence is exact (see sharded_server.h).
+/// global run, so shard-count equivalence is exact (see serve/server.h).
 ServerConfig ColdServerConfig(const pipeline::TransactionStream& stream) {
   ServerConfig cfg;
   cfg.detect.window_days = 15;
@@ -137,7 +137,7 @@ std::map<int64_t, TickView> RunSharded(const ServerConfig& cfg,
                                        const std::vector<TimedEdge>& ordered,
                                        ServerStats* stats_out = nullptr) {
   std::map<int64_t, TickView> out;
-  ShardedStreamServer server(cfg, num_shards);
+  StreamServer server(cfg, num_shards);
   server.Subscribe(
       [&](const TickResult& t) { out[TickKey(t.window_end)] = ViewOf(t); });
   EXPECT_TRUE(server.Start().ok());
@@ -200,44 +200,61 @@ TEST_F(ShardTest, ColdShardedReplayMatchesSingleShardExactly) {
   }
 }
 
-// Stitched cluster labels are globally renumbered: dense 0..n-1, assigned
-// in sorted-member order, with no residue of per-owner label spaces.
-TEST_F(ShardTest, StitchedClustersCarryDenseGlobalLabels) {
+// Stitched ticks are expressed in the window's canonical local-id space:
+// per-vertex labels and cluster labels (and so cluster order) of every
+// N-shard tick equal the 1-shard tick's.
+TEST_F(ShardTest, ShardedLabelsMatchSingleShard) {
   const auto stream = pipeline::GenerateTransactions(SmallStreamConfig());
   const auto ordered = CanonicalEdges(stream);
   const ServerConfig cfg = ColdServerConfig(stream);
-
-  int nonempty_ticks = 0;
-  ShardedStreamServer server(cfg, 4);
-  server.Subscribe([&](const TickResult& t) {
-    if (t.detection.clusters.empty()) return;
-    ++nonempty_ticks;
-    for (size_t i = 0; i < t.detection.clusters.size(); ++i) {
-      const auto& c = t.detection.clusters[i];
-      EXPECT_EQ(c.label, static_cast<graph::Label>(i));
-      EXPECT_FALSE(c.members.empty());
-      EXPECT_TRUE(std::is_sorted(c.members.begin(), c.members.end()));
-      if (i > 0) {
-        EXPECT_LT(t.detection.clusters[i - 1].members, c.members);
+  struct Labels {
+    std::vector<graph::Label> vertex;
+    std::vector<std::pair<graph::Label, std::vector<VertexId>>> clusters;
+  };
+  auto run = [&](int num_shards, std::string* metrics_text) {
+    std::map<int64_t, Labels> out;
+    StreamServer server(cfg, num_shards);
+    server.Subscribe([&](const TickResult& t) {
+      Labels& l = out[TickKey(t.window_end)];
+      l.vertex = t.detection.lp.labels;
+      EXPECT_EQ(l.vertex.size(), t.detection.window_vertices);
+      for (const auto& c : t.detection.clusters) {
+        l.clusters.emplace_back(c.label, c.members);
       }
+    });
+    EXPECT_TRUE(server.Start().ok());
+    for (auto& batch : BatchEdges(ordered, 1000)) {
+      EXPECT_TRUE(server.Ingest(std::move(batch)));
     }
-    // Per-vertex labels have no global local-id space; the stitched result
-    // leaves them empty by contract.
-    EXPECT_TRUE(t.detection.lp.labels.empty());
-  });
-  ASSERT_TRUE(server.Start().ok());
-  for (auto& batch : BatchEdges(ordered, 1000)) {
-    ASSERT_TRUE(server.Ingest(std::move(batch)));
-  }
-  server.Flush();
-  server.Stop();
-  ASSERT_TRUE(server.last_error().ok()) << server.last_error().ToString();
-  EXPECT_GE(nonempty_ticks, 4);
+    server.Flush();
+    server.Stop();
+    EXPECT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+    if (metrics_text != nullptr) {
+      *metrics_text = server.metrics()->PrometheusText();
+    }
+    return out;
+  };
 
-  // Per-shard metric families are registered under the shard label.
-  const std::string text = server.metrics()->PrometheusText();
-  EXPECT_NE(text.find("glp_serve_shard_window_edges"), std::string::npos);
-  EXPECT_NE(text.find("shard=\"3\""), std::string::npos);
+  const auto want = run(1, nullptr);
+  ASSERT_GE(want.size(), 4u);
+  int nonempty_ticks = 0;
+  for (const auto& [key, l] : want) nonempty_ticks += !l.clusters.empty();
+  EXPECT_GE(nonempty_ticks, 4);
+  for (const int shards : {4, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    std::string text;
+    const auto got = run(shards, &text);
+    ASSERT_EQ(got.size(), want.size());
+    for (const auto& [key, l] : want) {
+      ASSERT_TRUE(got.count(key)) << "missing tick " << key;
+      EXPECT_EQ(got.at(key).vertex, l.vertex) << "tick " << key;
+      EXPECT_EQ(got.at(key).clusters, l.clusters) << "tick " << key;
+    }
+    // Per-shard metric families are registered under the shard label.
+    EXPECT_NE(text.find("glp_serve_shard_window_edges"), std::string::npos);
+    EXPECT_NE(text.find("shard=\"" + std::to_string(shards - 1) + "\""),
+              std::string::npos);
+  }
 }
 
 // Confirmed-cluster diffs from the stitcher must replay to the current
@@ -249,7 +266,7 @@ TEST_F(ShardTest, ShardedConfirmedDiffsReplayToCurrentSet) {
 
   std::set<std::vector<VertexId>> state;
   bool saw_confirmed = false;
-  ShardedStreamServer server(cfg, 4);
+  StreamServer server(cfg, 4);
   server.Subscribe([&](const TickResult& t) {
     for (const auto& members : t.expired_confirmed) {
       ASSERT_EQ(state.erase(members), 1u);
@@ -327,7 +344,7 @@ TEST_F(ShardTest, SingleShardKillRestoreFallsBackToCompleteSnapshot) {
   cfg_a.checkpoint.every_ticks = 1;
   cfg_a.checkpoint.keep = 8;
   {
-    ShardedStreamServer server(cfg_a, 4);
+    StreamServer server(cfg_a, 4);
     ASSERT_TRUE(server.Start().ok());
     auto batches = BatchEdges(ordered, 1000);
     const size_t half = batches.size() / 2;
@@ -357,13 +374,13 @@ TEST_F(ShardTest, SingleShardKillRestoreFallsBackToCompleteSnapshot) {
   // back past the torn snapshot the same way. (Full N->M output
   // equivalence is reshard_test's job.)
   {
-    ShardedStreamServer other(cfg, 2);
+    StreamServer other(cfg, 2);
     auto r = other.RestoreFromCheckpoint(dir);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r.value().tick, newest_tick - 1);
   }
 
-  ShardedStreamServer server(cfg, 4);
+  StreamServer server(cfg, 4);
   std::map<int64_t, TickView> got;
   int64_t first_restored_tick = -1;
   server.Subscribe([&](const TickResult& t) {
@@ -443,7 +460,7 @@ TEST_F(ShardTest, IncrementalShardedKillRestoreMatchesUninterrupted) {
   cfg_a.checkpoint.every_ticks = 1;
   cfg_a.checkpoint.keep = 8;
   {
-    ShardedStreamServer server(cfg_a, 4);
+    StreamServer server(cfg_a, 4);
     ASSERT_TRUE(server.Start().ok());
     auto batches = BatchEdges(ordered, 1000);
     const size_t half = batches.size() / 2;
@@ -456,7 +473,7 @@ TEST_F(ShardTest, IncrementalShardedKillRestoreMatchesUninterrupted) {
   }
 
   // Run B: restore and replay the canonical tail, still incremental.
-  ShardedStreamServer server(inc, 4);
+  StreamServer server(inc, 4);
   std::map<int64_t, TickView> got;
   server.Subscribe(
       [&](const TickResult& t) { got[TickKey(t.window_end)] = ViewOf(t); });

@@ -66,7 +66,7 @@ struct Args {
   bool incremental = false;
   bool quiet = false;
   bool profile = false;
-  int shards = 1;         // >1 = ShardedStreamServer fleet
+  int shards = 1;
   int metrics_port = -1;  // -1 = no endpoint; 0 = ephemeral port
   // Elastic resharding (DESIGN.md §4.14).
   bool reshard_auto = false;       // heat-driven automatic rebalancing
@@ -126,8 +126,7 @@ void Usage() {
       "  --refresh <n>  cold-refresh every n ticks (counters warm-start\n"
       "                 label-granularity drift; 0 = never; default 32)\n"
       "  --shards <n>   hash-partition entities across n server shards\n"
-      "                 (cross-shard clusters stitched per tick; default 1\n"
-      "                 = the single StreamServer)\n"
+      "                 (cross-shard components stitched per tick; default 1)\n"
       "  --profile      per-phase profile of the serving run\n"
       "  --quiet        suppress per-tick lines (stats JSON only)\n"
       "elastic resharding (DESIGN.md 4.14):\n"
@@ -326,8 +325,8 @@ bool ParseEngine(const std::string& name, lp::EngineKind* kind) {
   return true;
 }
 
-/// Replay driver — programs against serve::Server, so the single-server and
-/// sharded paths are the same code path.
+/// Stream replay — programs against serve::Server, whatever the shard
+/// count.
 int RunReplay(serve::Server& server, const Args& args,
               const pipeline::TransactionStream& stream,
               prof::PhaseProfiler& profiler) {
