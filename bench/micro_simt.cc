@@ -1,12 +1,16 @@
 // Microbenchmarks (google-benchmark) for the SIMT simulator primitives:
-// intrinsics, instrumented gathers, shared-memory accesses, and the
-// segmented-sort building block. These measure *simulator host throughput*
-// (how fast experiments run), not simulated device time.
+// intrinsics, instrumented gathers, shared-memory accesses, the kernels'
+// shared hash-table probe loop, and the segmented-sort building block.
+// These measure *simulator host throughput* (how fast experiments run), not
+// simulated device time.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <numeric>
+#include <vector>
 
+#include "glp/kernels/common.h"
 #include "sim/sim.h"
 #include "util/rng.h"
 
@@ -88,6 +92,61 @@ void BM_SharedAtomicAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kWarpSize);
 }
 BENCHMARK(BM_SharedAtomicAdd)->Arg(4)->Arg(1024);
+
+void BM_SharedLoadScattered(benchmark::State& state) {
+  // Hash-probe lookups: each lane reads a random slot of a 1024-slot table
+  // drawn from the first `range(0)` slots, so lanes broadcast on shared words
+  // and collide on banks.
+  KernelStats stats;
+  SharedMemory smem(1 << 16);
+  auto arr = smem.Alloc<uint32_t>(1024);
+  Warp w(0, kFullMask, &stats);
+  glp::Rng rng(6);
+  std::vector<LaneArray<int>> patterns(64);
+  for (auto& idx : patterns) {
+    for (int i = 0; i < kWarpSize; ++i) {
+      idx[i] = static_cast<int>(rng.Bounded(state.range(0)));
+    }
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(w.SharedLoad(arr, patterns[next++ & 63]));
+  }
+  state.SetItemsProcessed(state.iterations() * kWarpSize);
+}
+BENCHMARK(BM_SharedLoadScattered)->Arg(32)->Arg(1024);
+
+void BM_SharedHtInsert(benchmark::State& state) {
+  // The mid-degree kernel's probe loop: a 256-slot table (twice a degree of
+  // 128) is cleared, then takes four rounds of 32 neighbor labels drawn
+  // from `range(0)` distinct labels.
+  using glp::graph::Label;
+  KernelStats stats;
+  SharedMemory smem(1 << 16);
+  auto keys = smem.Alloc<Label>(256);
+  auto counts = smem.Alloc<float>(256);
+  Warp w(0, kFullMask, &stats);
+  glp::Rng rng(5);
+  std::vector<LaneArray<Label>> rounds(64);
+  for (auto& labels : rounds) {
+    for (int i = 0; i < kWarpSize; ++i) {
+      labels[i] = static_cast<Label>(rng.Bounded(state.range(0)));
+    }
+  }
+  const LaneArray<float> one(1.0f);
+  LaneArray<float> post;
+  size_t next = 0;
+  for (auto _ : state) {
+    std::fill(keys.data, keys.data + keys.size, glp::graph::kInvalidLabel);
+    std::fill(counts.data, counts.data + counts.size, 0.0f);
+    for (int r = 0; r < 4; ++r) {
+      benchmark::DoNotOptimize(glp::lp::SharedHtInsert(
+          w, keys, counts, 256, 256, rounds[next++ & 63], one, &post));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 4 * kWarpSize);
+}
+BENCHMARK(BM_SharedHtInsert)->Arg(16)->Arg(128);
 
 void BM_DeviceSegmentedSort(benchmark::State& state) {
   const int64_t segments = 256;

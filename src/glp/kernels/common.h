@@ -115,6 +115,13 @@ inline void ApplyEdgeWeightsContig(sim::Warp& w,
   w.CountInstr();
 }
 
+/// Linear-probe successor of `slot` in a table of `capacity` slots: a
+/// compare instead of `% capacity` on the probe path.
+template <typename I>
+inline I NextSlot(I slot, int capacity) {
+  return slot + 1 == capacity ? 0 : slot + 1;
+}
+
 /// \brief Lockstep insert of per-lane (label, weight) pairs into a
 /// shared-memory hash table (parallel CUDA-style open addressing:
 /// atomicCAS-claim the key slot, atomicAdd the count).
@@ -133,15 +140,15 @@ inline sim::LaneMask SharedHtInsert(
   const sim::LaneMask entry = w.active();
   sim::LaneMask pending = entry;
   sim::LaneMask succeeded = 0;
-  sim::LaneArray<int> slot;
+  sim::LaneArray<int> slot(sim::kUninit);
   sim::ForEachLane(entry, [&](int lane) {
     slot[lane] = static_cast<int>(glp::HashToBucket(
         glp::HashMix64(labels[lane]), static_cast<uint32_t>(capacity)));
   });
 
+  const sim::LaneArray<graph::Label> expected(graph::kInvalidLabel);
   for (int probe = 0; probe < max_probes && pending != 0; ++probe) {
     w.SetActive(pending);
-    sim::LaneArray<graph::Label> expected(graph::kInvalidLabel);
     const sim::LaneArray<graph::Label> observed =
         w.SharedAtomicCas(keys, slot, expected, labels);
     sim::LaneMask hit = 0;
@@ -151,7 +158,7 @@ inline sim::LaneMask SharedHtInsert(
           observed[lane] == labels[lane]) {
         hit |= sim::LaneBit(lane);
       } else {
-        slot[lane] = (slot[lane] + 1) % capacity;
+        slot[lane] = NextSlot(slot[lane], capacity);
       }
     });
     if (hit != 0) {
@@ -180,7 +187,7 @@ inline sim::LaneMask SharedHtLookup(sim::Warp& w,
   const sim::LaneMask entry = w.active();
   sim::LaneMask pending = entry;
   sim::LaneMask found = 0;
-  sim::LaneArray<int> slot;
+  sim::LaneArray<int> slot(sim::kUninit);
   sim::ForEachLane(entry, [&](int lane) {
     slot[lane] = static_cast<int>(glp::HashToBucket(
         glp::HashMix64(labels[lane]), static_cast<uint32_t>(capacity)));
@@ -197,7 +204,7 @@ inline sim::LaneMask SharedHtLookup(sim::Warp& w,
       } else if (stored[lane] == graph::kInvalidLabel) {
         miss |= sim::LaneBit(lane);  // definitive miss
       } else {
-        slot[lane] = (slot[lane] + 1) % capacity;
+        slot[lane] = NextSlot(slot[lane], capacity);
       }
     });
     if (hit != 0) {
@@ -216,12 +223,14 @@ inline sim::LaneMask SharedHtLookup(sim::Warp& w,
 /// claim + atomicAdd count through the memory partitions — the traffic
 /// pattern the CMS+HT design exists to avoid).
 ///
-/// `keys`/`counts` point at a zero-initialized table of `capacity` slots in
-/// device global memory. post_count[lane] receives the count after this
-/// lane's add. The probe sequence is unbounded (capacity slots), matching a
-/// table sized at 2x the key population.
+/// The table is the zero-initialized slot range [region, region + capacity)
+/// of the device arrays `keys`/`counts`; accesses name the array bases plus
+/// `region + slot`, so they are charged at their offsets within the arrays.
+/// post_count[lane] receives the count after this lane's add. The probe
+/// sequence is unbounded (capacity slots), matching a table sized at 2x the
+/// key population.
 inline void GlobalHtInsert(sim::Warp& w, graph::Label* keys, float* counts,
-                           int capacity,
+                           int64_t region, int capacity,
                            const sim::LaneArray<graph::Label>& labels,
                            const sim::LaneArray<float>& weights,
                            sim::LaneArray<float>* post_count) {
@@ -235,22 +244,25 @@ inline void GlobalHtInsert(sim::Warp& w, graph::Label* keys, float* counts,
 
   while (pending != 0) {
     w.SetActive(pending);
+    sim::LaneArray<int64_t> at;
+    sim::ForEachLane(pending,
+                     [&](int lane) { at[lane] = region + slot[lane]; });
     sim::LaneArray<graph::Label> expected(graph::kInvalidLabel);
     const sim::LaneArray<graph::Label> observed =
-        w.AtomicCasGlobal(keys, slot, expected, labels);
+        w.AtomicCasGlobal(keys, at, expected, labels);
     sim::LaneMask hit = 0;
     sim::ForEachLane(pending, [&](int lane) {
       if (observed[lane] == graph::kInvalidLabel ||
           observed[lane] == labels[lane]) {
         hit |= sim::LaneBit(lane);
       } else {
-        slot[lane] = (slot[lane] + 1) % capacity;
+        slot[lane] = NextSlot(slot[lane], capacity);
       }
     });
     if (hit != 0) {
       w.SetActive(hit);
       const sim::LaneArray<float> before =
-          w.AtomicAddGlobal(counts, slot, weights);
+          w.AtomicAddGlobal(counts, at, weights);
       sim::ForEachLane(hit, [&](int lane) {
         (*post_count)[lane] = before[lane] + weights[lane];
       });

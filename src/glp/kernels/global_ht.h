@@ -79,8 +79,11 @@ sim::KernelStats RunGlobalHtKernel(const sim::DeviceProps& props,
       const graph::VertexId v = vlist[vi];
       const graph::EdgeId begin = view.offsets[v];
       const int64_t degree = view.offsets[v + 1] - begin;
-      graph::Label* ht_keys = arena->keys.data() + arena->offsets[vi];
-      float* ht_counts = arena->counts.data() + arena->offsets[vi];
+      // The vertex's region of the arena; accesses name the arena arrays
+      // plus region + slot, never an interior pointer.
+      graph::Label* ht_keys = arena->keys.data();
+      float* ht_counts = arena->counts.data();
+      const int64_t region = arena->offsets[vi];
       const int cap = arena->capacities[vi];
 
       Candidate best;
@@ -106,7 +109,8 @@ sim::KernelStats RunGlobalHtKernel(const sim::DeviceProps& props,
           w.CountInstr();
           ApplyEdgeWeightsContig(w, view, begin + base, &wgt);
           sim::LaneArray<float> post;
-          GlobalHtInsert(w, ht_keys, ht_counts, cap, lbl, wgt, &post);
+          GlobalHtInsert(w, ht_keys, ht_counts, region, cap, lbl, wgt,
+                         &post);
         }
 
         // Scan phase over the region (coalesced reads of the arena).
@@ -115,8 +119,9 @@ sim::KernelStats RunGlobalHtKernel(const sim::DeviceProps& props,
           w.SetActive(lanes >= sim::kWarpSize ? sim::kFullMask
                                               : ((1u << lanes) - 1u));
           const sim::LaneArray<graph::Label> k =
-              w.GatherContig(ht_keys, base);
-          const sim::LaneArray<float> c = w.GatherContig(ht_counts, base);
+              w.GatherContig(ht_keys, region + base);
+          const sim::LaneArray<float> c =
+              w.GatherContig(ht_counts, region + base);
           sim::LaneMask valid = 0;
           sim::ForEachLane(w.active(), [&](int l) {
             if (k[l] != graph::kInvalidLabel) valid |= sim::LaneBit(l);

@@ -60,16 +60,14 @@ sim::KernelStats RunHighDegreeBlockKernel(
 
     // Zero-fill HT keys cooperatively (counts/CMS arrive zeroed from Alloc,
     // but a real kernel would memset; charge the stores).
+    const sim::LaneArray<graph::Label> inv(graph::kInvalidLabel);
     blk.ForEachWarp([&](sim::Warp& w) {
       for (int base = w.warp_id() * sim::kWarpSize; base < h;
            base += threads) {
         const int lanes = std::min(sim::kWarpSize, h - base);
         w.SetActive(lanes >= sim::kWarpSize ? sim::kFullMask
                                             : ((1u << lanes) - 1u));
-        sim::LaneArray<int> idx;
-        sim::ForEachLane(w.active(), [&](int l) { idx[l] = base + l; });
-        sim::LaneArray<graph::Label> inv(graph::kInvalidLabel);
-        w.SharedStore(ht_keys, idx, inv);
+        w.SharedStoreContig(ht_keys, base, inv);
       }
     });
     blk.Sync();
@@ -90,10 +88,10 @@ sim::KernelStats RunHighDegreeBlockKernel(
 
         const sim::LaneArray<graph::VertexId> nbr =
             w.GatherContig(view.neighbors, begin + base);
-        sim::LaneArray<int64_t> lidx;
+        sim::LaneArray<int64_t> lidx(sim::kUninit);
         sim::ForEachLane(mask, [&](int l) { lidx[l] = nbr[l]; });
         const sim::LaneArray<graph::Label> lbl = w.Gather(view.labels, lidx);
-        sim::LaneArray<float> wgt;
+        sim::LaneArray<float> wgt(sim::kUninit);
         sim::ForEachLane(mask, [&](int l) {
           wgt[l] = static_cast<float>(view.variant->NeighborWeight(v, nbr[l]));
         });
@@ -101,7 +99,7 @@ sim::KernelStats RunHighDegreeBlockKernel(
         ApplyEdgeWeightsContig(w, view, begin + base, &wgt);
 
         // HT insert (atomicAdd on success).
-        sim::LaneArray<float> post;
+        sim::LaneArray<float> post(sim::kUninit);
         const sim::LaneMask ok = SharedHtInsert(
             w, ht_keys, ht_counts, h, max_probes, lbl, wgt, &post);
 
@@ -123,7 +121,7 @@ sim::KernelStats RunHighDegreeBlockKernel(
         if (spill != 0) {
           sim::LaneArray<float> est(std::numeric_limits<float>::max());
           for (int r = 0; r < d; ++r) {
-            sim::LaneArray<int> bucket;
+            sim::LaneArray<int> bucket(sim::kUninit);
             sim::ForEachLane(spill, [&](int l) {
               bucket[l] = r * cw +
                           static_cast<int>(glp::HashToBucket(
@@ -188,10 +186,10 @@ sim::KernelStats RunHighDegreeBlockKernel(
           w.SetActive(mask);
           const sim::LaneArray<graph::VertexId> nbr =
               w.GatherContig(view.neighbors, begin + base);
-          sim::LaneArray<int64_t> lidx;
+          sim::LaneArray<int64_t> lidx(sim::kUninit);
           sim::ForEachLane(mask, [&](int l) { lidx[l] = nbr[l]; });
           const sim::LaneArray<graph::Label> lbl = w.Gather(view.labels, lidx);
-          sim::LaneArray<float> wgt;
+          sim::LaneArray<float> wgt(sim::kUninit);
           sim::ForEachLane(mask, [&](int l) {
             wgt[l] =
                 static_cast<float>(view.variant->NeighborWeight(v, nbr[l]));
@@ -207,9 +205,9 @@ sim::KernelStats RunHighDegreeBlockKernel(
           const sim::LaneMask miss = mask & ~in_ht;
           if (miss != 0) {
             w.SetActive(miss);
-            sim::LaneArray<float> post;
-            GlobalHtInsert(w, ght_keys.data(), ght_counts.data(), ghtc, lbl,
-                           wgt, &post);
+            sim::LaneArray<float> post(sim::kUninit);
+            GlobalHtInsert(w, ght_keys.data(), ght_counts.data(),
+                           /*region=*/0, ghtc, lbl, wgt, &post);
             const sim::LaneArray<double> aux = GatherAux(w, view, lbl);
             sim::ForEachLane(miss, [&](int l) {
               const int tid = w.warp_id() * sim::kWarpSize + l;

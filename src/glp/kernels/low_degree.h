@@ -115,7 +115,7 @@ sim::KernelStats RunLowDegreeWarpKernel(const sim::DeviceProps& props,
           w.GatherContig(slot_vertex, base);
 
       // Step 1: __ballot_sync over slot validity.
-      sim::LaneArray<int> valid_pred;
+      sim::LaneArray<int> valid_pred(sim::kUninit);
       sim::ForEachLane(sim::kFullMask, [&](int l) {
         valid_pred[l] = vid[l] != graph::kInvalidVertex ? 1 : 0;
       });
@@ -130,11 +130,11 @@ sim::KernelStats RunLowDegreeWarpKernel(const sim::DeviceProps& props,
 
       // Each vertex's lanes cover its full neighbor list in lane order:
       // edge = offsets[v] + rank(lane within vmask).
-      sim::LaneArray<int64_t> voff_idx;
+      sim::LaneArray<int64_t> voff_idx(sim::kUninit);
       sim::ForEachLane(active, [&](int l) { voff_idx[l] = vid[l]; });
       const sim::LaneArray<graph::EdgeId> voff =
           w.Gather(view.offsets, voff_idx);
-      sim::LaneArray<graph::EdgeId> eidx;
+      sim::LaneArray<graph::EdgeId> eidx(sim::kUninit);
       sim::ForEachLane(active, [&](int l) {
         const int rank = sim::Popc(vmask[l] & (sim::LaneBit(l) - 1u));
         eidx[l] = voff[l] + rank;
@@ -145,14 +145,14 @@ sim::KernelStats RunLowDegreeWarpKernel(const sim::DeviceProps& props,
       // Load the assigned neighbor and its label.
       const sim::LaneArray<graph::VertexId> nbr =
           w.Gather(view.neighbors, eidx);
-      sim::LaneArray<int64_t> lidx;
+      sim::LaneArray<int64_t> lidx(sim::kUninit);
       sim::ForEachLane(active, [&](int l) { lidx[l] = nbr[l]; });
       const sim::LaneArray<graph::Label> lbl = w.Gather(view.labels, lidx);
 
       // Step 3: sub-group by label within each vertex group.
       const sim::LaneArray<sim::LaneMask> lmask_raw =
           w.MatchAnySync(lbl, active);
-      sim::LaneArray<sim::LaneMask> lmask;
+      sim::LaneArray<sim::LaneMask> lmask(sim::kUninit);
       sim::ForEachLane(active,
                        [&](int l) { lmask[l] = lmask_raw[l] & vmask[l]; });
       w.CountInstr();
@@ -196,7 +196,7 @@ sim::KernelStats RunLowDegreeWarpKernel(const sim::DeviceProps& props,
 
       // Vertex leaders scatter Lnext (one store per vertex in the round).
       w.SetActive(vertex_leaders);
-      sim::LaneArray<int64_t> out_idx;
+      sim::LaneArray<int64_t> out_idx(sim::kUninit);
       sim::ForEachLane(vertex_leaders,
                        [&](int l) { out_idx[l] = vid[l]; });
       w.Scatter(view.next, out_idx, winner);

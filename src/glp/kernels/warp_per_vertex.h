@@ -47,11 +47,9 @@ sim::KernelStats RunWarpPerVertexSmemKernel(
       const graph::EdgeId begin = view.offsets[v];
       const int64_t degree = view.offsets[v + 1] - begin;
 
-      auto ht_keys = SubSpan(keys, static_cast<size_t>(w.warp_id()) * ht_capacity,
-                             ht_capacity);
-      auto ht_counts = SubSpan(counts,
-                               static_cast<size_t>(w.warp_id()) * ht_capacity,
-                               ht_capacity);
+      const size_t slice = static_cast<size_t>(w.warp_id()) * ht_capacity;
+      auto ht_keys = SubSpan(keys, slice, ht_capacity);
+      auto ht_counts = SubSpan(counts, slice, ht_capacity);
 
       if (degree == 0) {
         sim::LaneArray<int64_t> idx(0);
@@ -64,16 +62,14 @@ sim::KernelStats RunWarpPerVertexSmemKernel(
       }
 
       // Clear the warp's HT slice.
+      const sim::LaneArray<graph::Label> inv(graph::kInvalidLabel);
+      const sim::LaneArray<float> zero(0.0f);
       for (int base = 0; base < ht_capacity; base += sim::kWarpSize) {
         const int lanes = std::min(sim::kWarpSize, ht_capacity - base);
         w.SetActive(lanes >= sim::kWarpSize ? sim::kFullMask
                                             : ((1u << lanes) - 1u));
-        sim::LaneArray<int> idx;
-        sim::ForEachLane(w.active(), [&](int l) { idx[l] = base + l; });
-        sim::LaneArray<graph::Label> inv(graph::kInvalidLabel);
-        sim::LaneArray<float> zero(0.0f);
-        w.SharedStore(ht_keys, idx, inv);
-        w.SharedStore(ht_counts, idx, zero);
+        w.SharedStoreContig(ht_keys, base, inv);
+        w.SharedStoreContig(ht_counts, base, zero);
       }
 
       // Insert all neighbor labels.
@@ -84,16 +80,16 @@ sim::KernelStats RunWarpPerVertexSmemKernel(
                                             : ((1u << lanes) - 1u));
         const sim::LaneArray<graph::VertexId> nbr =
             w.GatherContig(view.neighbors, begin + base);
-        sim::LaneArray<int64_t> lidx;
+        sim::LaneArray<int64_t> lidx(sim::kUninit);
         sim::ForEachLane(w.active(), [&](int l) { lidx[l] = nbr[l]; });
         const sim::LaneArray<graph::Label> lbl = w.Gather(view.labels, lidx);
-        sim::LaneArray<float> wgt;
+        sim::LaneArray<float> wgt(sim::kUninit);
         sim::ForEachLane(w.active(), [&](int l) {
           wgt[l] = static_cast<float>(view.variant->NeighborWeight(v, nbr[l]));
         });
         w.CountInstr();
         ApplyEdgeWeightsContig(w, view, begin + base, &wgt);
-        sim::LaneArray<float> post;
+        sim::LaneArray<float> post(sim::kUninit);
         SharedHtInsert(w, ht_keys, ht_counts, ht_capacity,
                        /*max_probes=*/ht_capacity, lbl, wgt, &post);
       }
@@ -104,10 +100,9 @@ sim::KernelStats RunWarpPerVertexSmemKernel(
         const int lanes = std::min(sim::kWarpSize, ht_capacity - base);
         w.SetActive(lanes >= sim::kWarpSize ? sim::kFullMask
                                             : ((1u << lanes) - 1u));
-        sim::LaneArray<int> idx;
-        sim::ForEachLane(w.active(), [&](int l) { idx[l] = base + l; });
-        const sim::LaneArray<graph::Label> k = w.SharedLoad(ht_keys, idx);
-        const sim::LaneArray<float> c = w.SharedLoad(ht_counts, idx);
+        const sim::LaneArray<graph::Label> k =
+            w.SharedLoadContig(ht_keys, base);
+        const sim::LaneArray<float> c = w.SharedLoadContig(ht_counts, base);
         sim::LaneMask valid = 0;
         sim::ForEachLane(w.active(), [&](int l) {
           if (k[l] != graph::kInvalidLabel) valid |= sim::LaneBit(l);
@@ -115,7 +110,7 @@ sim::KernelStats RunWarpPerVertexSmemKernel(
         if (valid == 0) continue;
         w.SetActive(valid);
         const sim::LaneArray<double> aux = GatherAux(w, view, k);
-        sim::LaneArray<double> score;
+        sim::LaneArray<double> score(sim::kUninit);
         sim::ForEachLane(valid, [&](int l) {
           score[l] = view.variant->Score(v, k[l], c[l], aux[l]);
         });

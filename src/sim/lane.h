@@ -25,8 +25,15 @@ using LaneMask = uint32_t;
 /// All 32 lanes active.
 inline constexpr LaneMask kFullMask = 0xffffffffu;
 
-/// Number of set bits — the simulator's __popc.
-inline int Popc(LaneMask m) { return std::popcount(m); }
+/// Number of set bits — the simulator's __popc. Written out (SWAR) because
+/// std::popcount becomes a library call on baseline x86-64 builds, and the
+/// simulator counts lanes on every warp instruction.
+inline int Popc(LaneMask m) {
+  m = m - ((m >> 1) & 0x55555555u);
+  m = (m & 0x33333333u) + ((m >> 2) & 0x33333333u);
+  m = (m + (m >> 4)) & 0x0f0f0f0fu;
+  return static_cast<int>((m * 0x01010101u) >> 24);
+}
 
 /// Index of the lowest set lane, or -1 if the mask is empty. Mirrors the
 /// CUDA idiom `__ffs(mask) - 1` used to elect a leader lane.
@@ -41,6 +48,10 @@ inline bool LaneActive(LaneMask m, int lane) { return (m >> lane) & 1u; }
 /// Mask with only `lane` set.
 inline LaneMask LaneBit(int lane) { return 1u << lane; }
 
+/// Tag for a LaneArray whose lanes are all written before any is read.
+struct Uninit {};
+inline constexpr Uninit kUninit{};
+
 /// \brief One register slot per lane of a warp.
 ///
 /// LaneArray is the simulator's model of a per-thread register: kernel code
@@ -48,10 +59,14 @@ inline LaneMask LaneBit(int lane) { return 1u << lane; }
 /// an active mask.
 template <typename T>
 struct LaneArray {
-  std::array<T, kWarpSize> v{};
+  std::array<T, kWarpSize> v;
 
-  LaneArray() = default;
+  /// Zero in every lane, as kernels may read lanes they did not write.
+  LaneArray() : v{} {}
   explicit LaneArray(T fill) { v.fill(fill); }
+  /// Leaves the lanes unset: no zero-fill for a register that is about to
+  /// be overwritten on every lane it is read at.
+  explicit LaneArray(Uninit) {}
 
   T& operator[](int lane) { return v[lane]; }
   const T& operator[](int lane) const { return v[lane]; }

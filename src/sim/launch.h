@@ -2,8 +2,13 @@
 //
 // Blocks are independent (as on hardware); global-memory atomics go through
 // std::atomic_ref so concurrent blocks are race-free. Stats are accumulated
-// per worker chunk and merged, so counting never contends. Results and stats
-// are deterministic because all counted quantities are order-independent.
+// per worker chunk and merged, so counting never contends. Stats do not
+// depend on the pool size or on block interleaving: a block's charges are a
+// function of its own accesses (sectors and atomic addresses are offsets
+// within each array, see warp.h; hash tables are block-private), and the
+// merge is integer addition, which is order-independent. Results are
+// deterministic for kernels whose blocks write disjoint outputs, as every
+// LP kernel's do.
 
 #pragma once
 

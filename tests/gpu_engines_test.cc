@@ -81,7 +81,8 @@ TEST(GlobalHtInsertTest, ExactCountsUnderContention) {
   for (int i = 0; i < sim::kWarpSize; ++i) lbl[i] = i % 2;  // heavy conflict
   sim::LaneArray<float> wgt(1.0f);
   sim::LaneArray<float> post;
-  GlobalHtInsert(w, keys.data(), counts.data(), 64, lbl, wgt, &post);
+  GlobalHtInsert(w, keys.data(), counts.data(), /*region=*/0, 64, lbl, wgt,
+                 &post);
   float max_post_0 = 0, max_post_1 = 0;
   for (int i = 0; i < sim::kWarpSize; ++i) {
     if (lbl[i] == 0) max_post_0 = std::max(max_post_0, post[i]);

@@ -2,12 +2,14 @@
 // coalescing / bank-conflict accounting, block execution, launch, cost
 // model, segmented sort, transfers.
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/sim.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace glp::sim {
@@ -126,9 +128,9 @@ TEST(WarpMemoryTest, ContiguousGatherIsCoalesced) {
   std::iota(data.begin(), data.end(), 0u);
   auto out = w.GatherContig(data.data(), 8);
   for (int i = 0; i < kWarpSize; ++i) EXPECT_EQ(out[i], 8u + i);
-  // 32 lanes x 4B contiguous = 128B = 4 or 5 sectors depending on alignment.
-  EXPECT_LE(stats.global_transactions, 5u);
-  EXPECT_GE(stats.global_transactions, 4u);
+  // 32 lanes x 4B from byte offset 32 of a 256B-aligned allocation:
+  // bytes [32, 160) = sectors 1..4.
+  EXPECT_EQ(stats.global_transactions, 4u);
   EXPECT_EQ(stats.global_bytes_requested, 32u * 4);
 }
 
@@ -196,6 +198,250 @@ TEST(WarpMemoryTest, AtomicCasGlobalClaimsOnce) {
   EXPECT_EQ(slot[0], 100u);
 }
 
+TEST(WarpMemoryTest, ScatteredNonMonotoneLanesWithDuplicates) {
+  KernelStats stats;
+  Warp w(0, kFullMask, &stats);
+  std::vector<uint32_t> data(1024, 1);
+  // Sectors hold 8 four-byte elements. Lanes revisit sectors out of order:
+  // lane i reads element 8 * ((i * 7) % 5) + (i % 3), so the 32 lanes touch
+  // sectors {0, 1, 2, 3, 4} in a scrambled order, with repeated elements.
+  LaneArray<int64_t> idx;
+  for (int i = 0; i < kWarpSize; ++i) idx[i] = 8 * ((i * 7) % 5) + (i % 3);
+  w.Gather(data.data(), idx);
+  EXPECT_EQ(stats.global_transactions, 5u);
+  EXPECT_EQ(stats.global_bytes_requested, 32u * 4);
+  // A descending pattern that leaves and re-enters a sector.
+  LaneArray<int64_t> back;
+  for (int i = 0; i < kWarpSize; ++i) back[i] = (i % 2 == 0) ? 500 - i : i;
+  w.Gather(data.data(), back);
+  // Odd lanes: elements 1..31 -> sectors 0..3. Even lanes: 500..470 ->
+  // sectors 58..62.
+  EXPECT_EQ(stats.global_transactions, 5u + 4u + 5u);
+}
+
+TEST(WarpMemoryTest, PartialActiveMaskChargesActiveLanesOnly) {
+  KernelStats stats;
+  // Every other group of four lanes: lanes 0-3, 8-11, 16-19, 24-27.
+  Warp w(0, 0x0f0f0f0fu, &stats);
+  std::vector<uint32_t> data(64);
+  std::iota(data.begin(), data.end(), 0u);
+  auto out = w.GatherContig(data.data(), 0);
+  EXPECT_EQ(out[8], 8u);
+  EXPECT_EQ(out[4], 0u);  // inactive lanes are not loaded
+  // Active lanes read bytes [0,16), [32,48), [64,80), [96,112): four
+  // sectors, one per group.
+  EXPECT_EQ(stats.global_transactions, 4u);
+  EXPECT_EQ(stats.global_bytes_requested, 16u * 4);
+  EXPECT_EQ(w.stats()->instructions, 1u);
+  EXPECT_EQ(stats.active_lane_cycles, 16u);
+  EXPECT_EQ(stats.total_lane_cycles, 32u);
+
+  // Lanes 0 and 31 only: two far-apart sectors.
+  w.SetActive(LaneBit(0) | LaneBit(31));
+  w.GatherContig(data.data(), 0);
+  EXPECT_EQ(stats.global_transactions, 4u + 2u);
+  // An empty mask issues the instruction but moves no sector.
+  w.SetActive(0);
+  w.GatherContig(data.data(), 0);
+  EXPECT_EQ(stats.global_transactions, 6u);
+  EXPECT_EQ(w.stats()->instructions, 3u);
+}
+
+TEST(WarpMemoryTest, EightByteGathersSpanTwiceTheSectors) {
+  KernelStats stats;
+  Warp w(0, kFullMask, &stats);
+  std::vector<int64_t> offsets(128);  // graph::EdgeId is 8 bytes
+  std::iota(offsets.begin(), offsets.end(), int64_t{0});
+  // 32 lanes x 8B from element 0: bytes [0, 256) = 8 sectors.
+  auto out = w.GatherContig(offsets.data(), 0);
+  EXPECT_EQ(out[31], 31);
+  EXPECT_EQ(stats.global_transactions, 8u);
+  EXPECT_EQ(stats.global_bytes_requested, 256u);
+  // From element 2: bytes [16, 272) straddle a ninth sector.
+  w.GatherContig(offsets.data(), 2);
+  EXPECT_EQ(stats.global_transactions, 8u + 9u);
+  // Scattered 8-byte lanes, two per sector: elements 4k and 4k+1.
+  LaneArray<int64_t> idx;
+  for (int i = 0; i < kWarpSize; ++i) idx[i] = 4 * (i / 2) + (i % 2);
+  w.Gather(offsets.data(), idx);
+  EXPECT_EQ(stats.global_transactions, 8u + 9u + 16u);
+}
+
+TEST(WarpMemoryTest, InteriorRegionIsChargedAtItsArrayOffset) {
+  KernelStats stats;
+  Warp w(0, kFullMask, &stats);
+  std::vector<uint32_t> data(256);
+  // A region starting at element 3 (byte 12, not a multiple of 8): 32
+  // lanes cover bytes [12, 140) = sectors 0..4 of the allocation.
+  w.GatherContig(data.data(), 3);
+  EXPECT_EQ(stats.global_transactions, 5u);
+  // The same region as per-lane indices costs the same.
+  LaneArray<int64_t> idx;
+  for (int i = 0; i < kWarpSize; ++i) idx[i] = 3 + i;
+  w.Gather(data.data(), idx);
+  EXPECT_EQ(stats.global_transactions, 10u);
+  // Sector-aligned region start (element 8): exactly 4 sectors.
+  w.GatherContig(data.data(), 8);
+  EXPECT_EQ(stats.global_transactions, 14u);
+}
+
+TEST(WarpMemoryTest, AtomicsSerializeDuplicateAddressesOnly) {
+  KernelStats stats;
+  Warp w(0, kFullMask, &stats);
+  std::vector<uint32_t> data(64, 0);
+  LaneArray<int64_t> idx;
+  for (int i = 0; i < kWarpSize; ++i) idx[i] = (i * 3) % 5;  // 5 addresses
+  LaneArray<uint32_t> one(1u);
+  w.AtomicAddGlobal(data.data(), idx, one);
+  EXPECT_EQ(stats.global_atomics, 5u);
+  EXPECT_EQ(stats.global_atomic_conflicts, 27u);
+  EXPECT_EQ(data[0] + data[1] + data[2] + data[3] + data[4], 32u);
+  // Adjacent elements of one sector are still distinct addresses.
+  LaneArray<int64_t> adj;
+  for (int i = 0; i < kWarpSize; ++i) adj[i] = 8 + i % 8;
+  w.SetActive(0x0000ffffu);  // 16 lanes over 8 addresses
+  w.AtomicAddGlobal(data.data(), adj, one);
+  EXPECT_EQ(stats.global_atomics, 5u + 8u);
+  EXPECT_EQ(stats.global_atomic_conflicts, 27u + 8u);
+  // CAS is charged the same way.
+  LaneArray<uint32_t> expected(0u);
+  LaneArray<uint32_t> desired(7u);
+  w.SetActive(kFullMask);
+  LaneArray<int64_t> pairs;
+  for (int i = 0; i < kWarpSize; ++i) pairs[i] = 32 + i / 2;  // 16 pairs
+  w.AtomicCasGlobal(data.data(), pairs, expected, desired);
+  EXPECT_EQ(stats.global_atomics, 5u + 8u + 16u);
+  EXPECT_EQ(stats.global_atomic_conflicts, 27u + 8u + 16u);
+  EXPECT_EQ(data[32], 7u);
+}
+
+// Reference accounting written for clarity rather than speed: collect the
+// active lanes' keys, sort, and count distinct values.
+uint64_t RefDistinct(std::vector<uint64_t> keys) {
+  std::sort(keys.begin(), keys.end());
+  return static_cast<uint64_t>(
+      std::unique(keys.begin(), keys.end()) - keys.begin());
+}
+
+uint64_t RefBankReplays(std::vector<uint64_t> words) {
+  std::sort(words.begin(), words.end());
+  words.erase(std::unique(words.begin(), words.end()), words.end());
+  int per_bank[kWarpSize] = {0};
+  int worst = words.empty() ? 1 : 0;
+  for (uint64_t word : words) {
+    worst = std::max(worst, ++per_bank[word % kWarpSize]);
+  }
+  return static_cast<uint64_t>(std::max(worst, 1) - 1);
+}
+
+/// Per-lane indices drawn from the access shapes kernels produce:
+/// contiguous, strided, descending, clustered with duplicates, scattered.
+LaneArray<int64_t> RandomIndices(Rng& rng, int64_t limit) {
+  LaneArray<int64_t> idx;
+  const int64_t start = static_cast<int64_t>(rng.Bounded(limit / 2));
+  const int shape = static_cast<int>(rng.Bounded(5));
+  for (int i = 0; i < kWarpSize; ++i) {
+    switch (shape) {
+      case 0: idx[i] = start + i; break;
+      case 1: idx[i] = start + i * static_cast<int64_t>(1 + rng.Bounded(9));
+        break;
+      case 2: idx[i] = start + kWarpSize - i; break;
+      case 3: idx[i] = start + static_cast<int64_t>(rng.Bounded(40)); break;
+      default: idx[i] = static_cast<int64_t>(rng.Bounded(limit)); break;
+    }
+    idx[i] = std::min(idx[i], limit - 1);
+  }
+  return idx;
+}
+
+LaneMask RandomMask(Rng& rng) {
+  switch (rng.Bounded(5)) {
+    case 0: return kFullMask;
+    case 1: return LaneBit(static_cast<int>(rng.Bounded(kWarpSize)));
+    case 3: {  // one run of lanes, like a tail warp
+      const int first = static_cast<int>(rng.Bounded(kWarpSize));
+      const int len = 1 + static_cast<int>(rng.Bounded(kWarpSize - first));
+      return (kFullMask >> (kWarpSize - len)) << first;
+    }
+    case 2:  // sparse
+      return static_cast<LaneMask>(rng.Next() & rng.Next());
+    default: return static_cast<LaneMask>(rng.Next());
+  }
+}
+
+TEST(WarpAccountingTest, MatchesReferenceCountsOnRandomWarps) {
+  Rng rng(20240601);
+  std::vector<uint32_t> words(4096, 1);
+  std::vector<int64_t> wide(4096, 1);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const LaneMask mask = RandomMask(rng);
+    const LaneArray<int64_t> idx = RandomIndices(rng, 4096);
+    std::vector<uint64_t> lane_idx;
+    ForEachLane(mask, [&](int l) {
+      lane_idx.push_back(static_cast<uint64_t>(idx[l]));
+    });
+    auto sectors = [&](uint64_t elem_bytes) {
+      std::vector<uint64_t> s;
+      for (uint64_t i : lane_idx) s.push_back(i * elem_bytes / 32);
+      return RefDistinct(s);
+    };
+
+    KernelStats stats;
+    Warp w(0, mask, &stats);
+    w.Gather(words.data(), idx);
+    ASSERT_EQ(stats.global_transactions, sectors(4)) << "trial " << trial;
+    w.Gather(wide.data(), idx);
+    ASSERT_EQ(stats.global_transactions, sectors(4) + sectors(8))
+        << "trial " << trial;
+
+    // Contiguous gathers from the first index, over the same mask.
+    KernelStats contig_stats;
+    Warp c(0, mask, &contig_stats);
+    const int64_t start = std::min<int64_t>(idx[0], 4096 - kWarpSize);
+    std::vector<uint64_t> narrow_sectors, wide_sectors;
+    ForEachLane(mask, [&](int l) {
+      narrow_sectors.push_back(static_cast<uint64_t>(start + l) * 4 / 32);
+      wide_sectors.push_back(static_cast<uint64_t>(start + l) * 8 / 32);
+    });
+    c.GatherContig(words.data(), start);
+    c.GatherContig(wide.data(), start);
+    const uint64_t want_contig =
+        lane_idx.empty()
+            ? 0
+            : RefDistinct(narrow_sectors) + RefDistinct(wide_sectors);
+    ASSERT_EQ(contig_stats.global_transactions, want_contig)
+        << "trial " << trial;
+    ASSERT_EQ(contig_stats.global_bytes_requested, 12 * lane_idx.size());
+
+    KernelStats atomic_stats;
+    Warp a(0, mask, &atomic_stats);
+    LaneArray<uint32_t> zero(0u);
+    a.AtomicAddGlobal(words.data(), idx, zero);
+    const uint64_t distinct = lane_idx.empty() ? 0 : RefDistinct(lane_idx);
+    ASSERT_EQ(atomic_stats.global_atomics, distinct) << "trial " << trial;
+    ASSERT_EQ(atomic_stats.global_atomic_conflicts,
+              lane_idx.size() - distinct)
+        << "trial " << trial;
+
+    SharedMemory smem(8192);
+    smem.Alloc<uint32_t>(rng.Bounded(40));  // shifts the span's banks
+    auto span = smem.Alloc<uint32_t>(1024);
+    LaneArray<int> sidx;
+    for (int l = 0; l < kWarpSize; ++l) {
+      sidx[l] = static_cast<int>(idx[l] % 1024);
+    }
+    std::vector<uint64_t> bank_words;
+    ForEachLane(mask, [&](int l) {
+      bank_words.push_back((span.byte_offset + 4u * sidx[l]) / 4);
+    });
+    KernelStats shared_stats;
+    Warp s(0, mask, &shared_stats);
+    s.SharedLoad(span, sidx);
+    ASSERT_EQ(shared_stats.shared_bank_conflicts, RefBankReplays(bank_words))
+        << "trial " << trial;
+  }
+}
+
 TEST(SharedMemoryTest, AllocAndOverflow) {
   SharedMemory smem(1024);
   auto a = smem.Alloc<uint32_t>(100);
@@ -248,6 +494,47 @@ TEST(SharedAccessTest, SameWordBroadcastsWithoutConflict) {
   LaneArray<int> idx(7);  // all lanes read word 7
   w.SharedLoad(arr, idx);
   EXPECT_EQ(stats.shared_bank_conflicts, 0u);
+}
+
+TEST(SharedAccessTest, BroadcastMixedWithSameBankDifferentWords) {
+  KernelStats stats;
+  SharedMemory smem(4096);
+  auto arr = smem.Alloc<uint32_t>(256);
+  Warp w(0, kFullMask, &stats);
+  LaneArray<int> idx;
+  // Lanes 0-15 broadcast word 0; lanes 16-23 read word 32 and lanes 24-31
+  // word 64, both also in bank 0: three distinct words in one bank.
+  for (int i = 0; i < kWarpSize; ++i) {
+    idx[i] = i < 16 ? 0 : (i < 24 ? 32 : 64);
+  }
+  w.SharedLoad(arr, idx);
+  EXPECT_EQ(stats.shared_bank_conflicts, 2u);
+  // Distinct banks plus one broadcast word: no replay.
+  for (int i = 0; i < kWarpSize; ++i) idx[i] = i < 2 ? 5 : i;
+  w.SharedLoad(arr, idx);
+  EXPECT_EQ(stats.shared_bank_conflicts, 2u);
+  // Two banks with two distinct words each, others single: one replay.
+  for (int i = 0; i < kWarpSize; ++i) idx[i] = i;
+  idx[30] = 35;  // bank 3 holds words 3 and 35
+  idx[31] = 39;  // bank 7 holds words 7 and 39
+  w.SharedLoad(arr, idx);
+  EXPECT_EQ(stats.shared_bank_conflicts, 3u);
+  EXPECT_EQ(stats.shared_accesses, 3u);
+}
+
+TEST(SharedAccessTest, SpanOffsetShiftsBanks) {
+  KernelStats stats;
+  SharedMemory smem(4096);
+  auto pad = smem.Alloc<uint32_t>(3);
+  auto arr = smem.Alloc<uint32_t>(128);
+  ASSERT_EQ(arr.byte_offset, 12u);
+  (void)pad;
+  Warp w(0, 0x3u, &stats);
+  LaneArray<int> idx;
+  idx[0] = 29;  // word 32 -> bank 0
+  idx[1] = 61;  // word 64 -> bank 0
+  w.SharedLoad(arr, idx);
+  EXPECT_EQ(stats.shared_bank_conflicts, 1u);
 }
 
 TEST(SharedAccessTest, SharedAtomicAddReturnsPostValue) {
