@@ -84,6 +84,11 @@ class IncrementalTracker {
   }
 
   graph::VertexId Root(graph::VertexId entity) { return Find(entity); }
+  /// True when the in-window entity roots its component (Root(e) == e,
+  /// without the walk).
+  bool IsRoot(graph::VertexId entity) const {
+    return parent_[entity] == entity;
+  }
 
   /// Canonical dirty-component roots left by the last operation.
   const std::vector<graph::VertexId>& dirty_roots() const {

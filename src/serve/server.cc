@@ -5,7 +5,6 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
-#include <queue>
 #include <thread>
 #include <utility>
 
@@ -41,41 +40,7 @@ bool IsTransient(const Status& s) {
   }
 }
 
-/// Path-halving find over a parent array.
-VertexId Find(std::vector<VertexId>* uf, VertexId x) {
-  while ((*uf)[x] != x) {
-    (*uf)[x] = (*uf)[(*uf)[x]];
-    x = (*uf)[x];
-  }
-  return x;
-}
-
 }  // namespace
-
-void StreamServer::EntityIntern::EnsureUniverse(size_t universe) {
-  if (epoch_of.size() < universe) {
-    epoch_of.assign(universe, 0);
-    local_of.resize(universe);
-    epoch = 0;
-  }
-}
-
-void StreamServer::EntityIntern::Bump() {
-  if (++epoch == 0) {  // stamp wrap
-    std::fill(epoch_of.begin(), epoch_of.end(), 0u);
-    epoch = 1;
-  }
-}
-
-VertexId StreamServer::EntityIntern::Intern(
-    VertexId g, std::vector<VertexId>* entities) {
-  if (epoch_of[g] != epoch) {
-    epoch_of[g] = epoch;
-    local_of[g] = static_cast<VertexId>(entities->size());
-    entities->push_back(g);
-  }
-  return local_of[g];
-}
 
 std::string ServerStats::ToJson() const {
   json::Writer w;
@@ -133,10 +98,8 @@ StreamServer::StreamServer(ServerConfig config, int num_shards)
   GLP_CHECK(num_shards >= 1 && num_shards <= 256)
       << "num_shards out of range";
   windows_.resize(num_shards);
-  shards_.resize(num_shards);
   owners_.resize(num_shards);
-  for (ShardScratch& s : shards_) s.owner_buckets.resize(num_shards);
-  // Per-shard range cursors for incremental mode. The cursors hold
+  // Per-shard range cursors feeding the fleet tracker. The cursors hold
   // pointers into windows_, so every operation that resizes windows_ —
   // restore and live resharding — rebuilds them immediately afterwards.
   range_cursors_.reserve(num_shards);
@@ -477,42 +440,21 @@ Result<Server::RestoreInfo> StreamServer::RestoreFromCheckpoint(
   if (config_.tick.incremental && coord->has_incremental &&
       tick_schedule_primed_) {
     // Rebuild the fleet union-find from the restored shard windows (clean:
-    // the checkpointed labels are authoritative) and re-prime every shard
-    // range cursor at the last completed tick so the next advance yields an
-    // exact delta. Cluster records are not checkpointed, so the first
-    // post-restore tick extracts all clusters but still reuses clean labels.
-    const double last_end = next_tick_end_ - config_.tick.every_days;
-    const double last_start = last_end - config_.detect.window_days;
-    universe_ = 0;
-    for (const graph::SlidingWindow& w : windows_) {
-      if (w.num_stream_edges() == 0) continue;
-      universe_ =
-          std::max(universe_, static_cast<size_t>(w.max_entity()) + 1);
-    }
+    // the checkpointed labels are authoritative) with every cursor primed at
+    // the last completed tick, so the next advance yields an exact delta.
+    // Cluster records are not checkpointed, so the first post-restore tick
+    // extracts all clusters but still reuses clean labels — when every
+    // checkpointed anchor is in range.
+    ReseatTracker();
     anchor_of_.assign(universe_, graph::kInvalidVertex);
-    bool anchors_ok = true;
+    inc_reuse_ok_ = true;
     for (size_t i = 0; i < coord->inc_entities.size(); ++i) {
       if (static_cast<size_t>(coord->inc_entities[i]) >= universe_ ||
           static_cast<size_t>(coord->inc_anchors[i]) >= universe_) {
-        anchors_ok = false;
+        inc_reuse_ok_ = false;
         break;
       }
       anchor_of_[coord->inc_entities[i]] = coord->inc_anchors[i];
-    }
-    if (anchors_ok) {
-      for (int k = 0; k < num_shards_; ++k) {
-        range_cursors_[k].PrimeAt(last_start, last_end);
-        shards_[k].lo = range_cursors_[k].lo();
-        shards_[k].hi = range_cursors_[k].hi();
-      }
-      inc_tracker_.BeginRebuild();
-      for (int k = 0; k < num_shards_; ++k) {
-        inc_tracker_.AddWindowRange(windows_[k].edges(), shards_[k].lo,
-                                    shards_[k].hi);
-      }
-      inc_tracker_.FinishRebuild(/*mark_all_dirty=*/false);
-      RefreshOwnersFromTracker();
-      inc_reuse_ok_ = true;
     }
   }
   {
@@ -1296,11 +1238,6 @@ Status StreamServer::MigrateToShardCount(int target) {
   }
   // Rebuild the derived detection-thread structures. range_cursors_ hold
   // pointers into windows_, which the swap above invalidated.
-  shards_.clear();
-  shards_.resize(static_cast<size_t>(target));
-  for (ShardScratch& s : shards_) {
-    s.owner_buckets.resize(static_cast<size_t>(target));
-  }
   owners_.clear();
   owners_.resize(static_cast<size_t>(target));
   range_cursors_.clear();
@@ -1315,30 +1252,11 @@ Status StreamServer::MigrateToShardCount(int target) {
   records_valid_ = false;
   records_.clear();
   if (config_.tick.incremental && inc_reuse_ok_ && tick_schedule_primed_) {
-    // Re-prime every cursor at the last completed tick and rebuild the
-    // fleet union-find from the new windows (clean: anchors carry over —
-    // warm anchors and anchor_of_ are global-id state, untouched by the
-    // re-partition), so the next tick still takes the exact delta path.
-    const double last_end = next_tick_end_ - config_.tick.every_days;
-    const double last_start = last_end - config_.detect.window_days;
-    universe_ = 0;
-    for (const graph::SlidingWindow& w : windows_) {
-      if (w.num_stream_edges() == 0) continue;
-      universe_ =
-          std::max(universe_, static_cast<size_t>(w.max_entity()) + 1);
-    }
-    for (int k = 0; k < target; ++k) {
-      range_cursors_[k].PrimeAt(last_start, last_end);
-      shards_[k].lo = range_cursors_[k].lo();
-      shards_[k].hi = range_cursors_[k].hi();
-    }
-    inc_tracker_.BeginRebuild();
-    for (int k = 0; k < target; ++k) {
-      inc_tracker_.AddWindowRange(windows_[k].edges(), shards_[k].lo,
-                                  shards_[k].hi);
-    }
-    inc_tracker_.FinishRebuild(/*mark_all_dirty=*/false);
-    RefreshOwnersFromTracker();
+    // Anchors carry over (warm anchors and anchor_of_ are global-id state,
+    // untouched by the re-partition), so reseating the tracker on the new
+    // windows keeps the next tick on the exact delta path. Other modes
+    // leave the new cursors unprimed: their next tick rebuilds.
+    ReseatTracker();
   }
   last_reshard_tick_ = num_ticks_;
   // Durable commit: a snapshot of the new shape, so a crash after the
@@ -1363,8 +1281,8 @@ void StreamServer::MaybeAutoReshard() {
   // (mirrors included — they are real per-shard work). Deterministic in
   // the stream, so replays make identical decisions.
   uint64_t total = 0;
-  for (int k = 0; k < num_shards(); ++k) {
-    total += static_cast<uint64_t>(shards_[k].hi - shards_[k].lo);
+  for (const graph::WindowRangeCursor& c : range_cursors_) {
+    total += static_cast<uint64_t>(c.hi() - c.lo());
   }
   const uint64_t per = total / static_cast<uint64_t>(num_shards());
   int target = num_shards();
@@ -1385,131 +1303,69 @@ void StreamServer::MaybeAutoReshard() {
   }
 }
 
-void StreamServer::ShardComponents(int k, double start_time,
-                                   double end_time) {
-  ShardScratch& s = shards_[k];
-  s.entities.clear();
-  s.uf.clear();
-  const graph::SlidingWindow& w = windows_[k];
-  if (w.num_stream_edges() == 0) {
-    s.lo = s.hi = 0;
-    return;
+size_t StreamServer::FleetUniverse() const {
+  size_t universe = 0;
+  for (const graph::SlidingWindow& w : windows_) {
+    if (w.num_stream_edges() == 0) continue;
+    universe = std::max(universe, static_cast<size_t>(w.max_entity()) + 1);
   }
-  s.lo = w.LowerBound(start_time);
-  s.hi = w.LowerBound(end_time);
-  s.intern.EnsureUniverse(universe_);
-  s.intern.Bump();
-  const std::vector<TimedEdge>& edges = w.edges();
-  auto add = [&](VertexId g) {
-    const VertexId l = s.intern.Intern(g, &s.entities);
-    if (static_cast<size_t>(l) == s.uf.size()) s.uf.push_back(l);
-    return l;
-  };
-  for (size_t i = s.lo; i < s.hi; ++i) {
-    const VertexId a = add(edges[i].src);
-    const VertexId b = add(edges[i].dst);
-    const VertexId ra = Find(&s.uf, a);
-    const VertexId rb = Find(&s.uf, b);
-    if (ra != rb) s.uf[rb] = ra;
-  }
+  return universe;
 }
 
-void StreamServer::StitchComponents() {
-  // Mirroring guarantees every cross-shard edge appears in both endpoint
-  // shards, so unioning each active entity with its shard-local component
-  // root — over all shards — yields exactly the global components: any
-  // global path is a chain of intra-shard hops stitched at shared entities.
-  stitch_intern_.EnsureUniverse(universe_);
-  stitch_intern_.Bump();
-  stitch_entities_.clear();
-  stitch_uf_.clear();
-  auto add = [&](VertexId g) {
-    const VertexId l = stitch_intern_.Intern(g, &stitch_entities_);
-    if (static_cast<size_t>(l) == stitch_uf_.size()) stitch_uf_.push_back(l);
-    return l;
-  };
-  for (ShardScratch& s : shards_) {
-    for (size_t i = 0; i < s.entities.size(); ++i) {
-      const VertexId root_entity =
-          s.entities[Find(&s.uf, static_cast<VertexId>(i))];
-      const VertexId a = add(s.entities[i]);
-      const VertexId b = add(root_entity);
-      const VertexId ra = Find(&stitch_uf_, a);
-      const VertexId rb = Find(&stitch_uf_, b);
-      if (ra != rb) stitch_uf_[rb] = ra;
-    }
+void StreamServer::ReseatTracker() {
+  universe_ = FleetUniverse();
+  const double last_end = next_tick_end_ - config_.tick.every_days;
+  const double last_start = last_end - config_.detect.window_days;
+  for (graph::WindowRangeCursor& c : range_cursors_) {
+    c.PrimeAt(last_start, last_end);
   }
-  // Deterministic owner: the shard of the component's smallest entity id —
-  // stable under any shard/batch interleaving of the same window.
-  comp_min_entity_.assign(stitch_entities_.size(), graph::kInvalidVertex);
-  for (size_t l = 0; l < stitch_entities_.size(); ++l) {
-    const VertexId r = Find(&stitch_uf_, static_cast<VertexId>(l));
-    comp_min_entity_[r] = std::min(comp_min_entity_[r], stitch_entities_[l]);
-  }
-  for (OwnerWork& ow : owners_) ow.num_components = 0;
-  if (owner_of_.size() < universe_) owner_of_.resize(universe_);
-  for (size_t l = 0; l < stitch_entities_.size(); ++l) {
-    const VertexId r = Find(&stitch_uf_, static_cast<VertexId>(l));
-    const int owner = pmap_->PartOf(comp_min_entity_[r]);
-    owner_of_[stitch_entities_[l]] = static_cast<uint8_t>(owner);
-    if (static_cast<VertexId>(l) == r) ++owners_[owner].num_components;
-  }
+  RebuildTracker(/*mark_all_dirty=*/false);
 }
 
-void StreamServer::BucketShardEdges(int k) {
-  ShardScratch& s = shards_[k];
-  for (auto& bucket : s.owner_buckets) bucket.clear();
-  const std::vector<TimedEdge>& edges = windows_[k].edges();
-  for (size_t i = s.lo; i < s.hi; ++i) {
-    const TimedEdge& e = edges[i];
-    // Owned copies only: the mirror of this edge in the other endpoint's
-    // shard is skipped there, so the buckets partition the global window.
-    if (pmap_->PartOf(e.src) != k) continue;
-    s.owner_buckets[owner_of_[e.src]].push_back(e);
+void StreamServer::RebuildTracker(bool mark_all_dirty) {
+  inc_tracker_.BeginRebuild();
+  for (int k = 0; k < num_shards_; ++k) {
+    inc_tracker_.AddWindowRange(windows_[k].edges(), range_cursors_[k].lo(),
+                                range_cursors_[k].hi());
   }
-}
-
-void StreamServer::RefreshOwnersFromTracker() {
-  // Full recompute (rebuild/restore paths only — O(universe)): owner =
-  // pmap_->PartOf(component min entity), the same rule StitchComponents
-  // applies, so cold and incremental replays bucket identically. The
-  // ascending entity scan means a root's first-seen member IS its minimum.
+  inc_tracker_.FinishRebuild(mark_all_dirty);
+  // Full owner recompute, O(universe): owner = pmap_->PartOf(component min
+  // entity). The ascending entity scan means a root's first-seen member IS
+  // its minimum.
   if (owner_of_.size() < universe_) owner_of_.resize(universe_);
   comp_min_scratch_.assign(universe_, graph::kInvalidVertex);
-  std::vector<int64_t> counts(static_cast<size_t>(num_shards()), 0);
   for (size_t e = 0; e < universe_; ++e) {
     if (!inc_tracker_.InWindow(static_cast<VertexId>(e))) continue;
     const VertexId r = inc_tracker_.Root(static_cast<VertexId>(e));
     if (comp_min_scratch_[r] == graph::kInvalidVertex) {
       comp_min_scratch_[r] = static_cast<VertexId>(e);
-      ++counts[pmap_->PartOf(static_cast<VertexId>(e))];
     }
-  }
-  for (size_t e = 0; e < universe_; ++e) {
-    if (!inc_tracker_.InWindow(static_cast<VertexId>(e))) continue;
-    const VertexId r = inc_tracker_.Root(static_cast<VertexId>(e));
     owner_of_[e] = static_cast<uint8_t>(pmap_->PartOf(comp_min_scratch_[r]));
   }
-  for (int o = 0; o < num_shards_; ++o) owners_[o].num_components = counts[o];
 }
 
 bool StreamServer::UpdateIncrementalTracker(double start_time,
                                             double end_time) {
+  obs::SpanSink* sink = config_.trace.collect_spans() ? &span_sink_ : nullptr;
+  const obs::SpanContext tick_ctx{tick_trace_.trace_id, tick_root_span_,
+                                  tick_trace_.sampled};
   // Advance every shard's range cursor. The delta path needs ALL shards
   // exact: a single rewritten shard prefix poisons that shard's indices,
   // and a component can span shards — conservative fleet-wide rebuild,
   // never wrong.
   std::vector<graph::WindowDelta> deltas(num_shards_);
   bool all_exact = true;
-  for (int k = 0; k < num_shards_; ++k) {
-    range_cursors_[k].AdvanceTo(start_time, end_time, &deltas[k]);
-    shards_[k].lo = range_cursors_[k].lo();
-    shards_[k].hi = range_cursors_[k].hi();
-    all_exact = all_exact && deltas[k].exact;
+  {
+    obs::ScopedSpan advance_span(sink, tick_ctx, "serve.window_advance");
+    for (int k = 0; k < num_shards_; ++k) {
+      range_cursors_[k].AdvanceTo(start_time, end_time, &deltas[k]);
+      all_exact = all_exact && deltas[k].exact;
+    }
   }
+  obs::ScopedSpan uf_span(sink, tick_ctx, "serve.union_find");
   const bool force_rebuild = !fail::Inject("serve.incremental_rebuild").ok();
-  bool applied = false;
-  if (all_exact && !force_rebuild) {
+  const bool applied = all_exact && !force_rebuild;
+  if (applied) {
     // Phased application: every shard's expirations land before any
     // retained-edge rescan, so a component spanning shards re-derives from
     // the union of all its shards' retained edges.
@@ -1524,10 +1380,8 @@ bool StreamServer::UpdateIncrementalTracker(double start_time,
       inc_tracker_.Append(windows_[k].edges(), deltas[k]);
     }
     inc_tracker_.FinishTick();
-    applied = true;
     // Re-own dirty components only; a clean component's min member — the
-    // entity that fixed its owner — is unchanged by definition. (The
-    // components_owned gauges refresh on rebuild ticks.)
+    // entity that fixed its owner — is unchanged by definition.
     if (owner_of_.size() < universe_) owner_of_.resize(universe_);
     for (const VertexId r : inc_tracker_.dirty_roots()) {
       const std::vector<VertexId>& mem = inc_tracker_.MembersOf(r);
@@ -1537,18 +1391,95 @@ bool StreamServer::UpdateIncrementalTracker(double start_time,
       for (const VertexId m : mem) owner_of_[m] = owner;
     }
   } else {
-    inc_tracker_.BeginRebuild();
-    for (int k = 0; k < num_shards_; ++k) {
-      inc_tracker_.AddWindowRange(windows_[k].edges(), shards_[k].lo,
-                                  shards_[k].hi);
-    }
-    inc_tracker_.FinishRebuild(/*mark_all_dirty=*/true);
+    RebuildTracker(/*mark_all_dirty=*/true);
     ins_.incremental_rebuilds->Increment();
-    RefreshOwnersFromTracker();
   }
+  uf_span.AddLabel("mode", applied ? "delta" : "rebuild");
   ins_.dirty_components->Set(
       static_cast<double>(inc_tracker_.NumDirtyComponents()));
   return applied;
+}
+
+size_t StreamServer::InternWindowEdges() {
+  graph::SlidingWindow::Scratch& ids = tick_ids_;
+  if (ids.epoch_of.size() < universe_) {
+    ids.epoch_of.assign(universe_, 0);
+    ids.local_of.resize(universe_);
+    ids.epoch = 0;
+  }
+  if (++ids.epoch == 0) {  // stamp wrap
+    std::fill(ids.epoch_of.begin(), ids.epoch_of.end(), 0u);
+    ids.epoch = 1;
+  }
+  const uint32_t epoch = ids.epoch;
+  for (OwnerWork& ow : owners_) {
+    ow.edges.clear();
+    ow.snap.local_to_global.clear();
+    ow.gid.clear();
+    ow.num_components = 0;
+  }
+  // Components are owned whole, so an entity's first window edge is in its
+  // owner's list: owner-local ids follow first appearance within the owner,
+  // window ids first appearance in the window — the ids the 1-shard
+  // snapshot assigns.
+  VertexId next_gid = 0;
+  const auto intern = [&](VertexId g, OwnerWork& ow) {
+    if (ids.epoch_of[g] != epoch) {
+      ids.epoch_of[g] = epoch;
+      ids.local_of[g] = static_cast<VertexId>(ow.snap.local_to_global.size());
+      ow.snap.local_to_global.push_back(g);
+      ow.gid.push_back(next_gid++);
+      if (inc_tracker_.IsRoot(g)) ++ow.num_components;
+    }
+    return ids.local_of[g];
+  };
+  const auto take = [&](const TimedEdge& e) {
+    OwnerWork& ow = owners_[owner_of_[e.src]];
+    const VertexId src = intern(e.src, ow);
+    ow.edges.push_back({src, intern(e.dst, ow)});
+  };
+  // K-way merge over the shards' owned copies (a mirror is skipped in the
+  // destination's shard, so every stream edge is taken once). Each shard's
+  // owned edges are a canonically ordered subsequence of the window, and
+  // two shards never own the same edge, so the merge has no ties. A run is
+  // taken while it precedes every other run's head, so on one shard the
+  // pass is a single scan.
+  struct Run {
+    const TimedEdge* it;
+    const TimedEdge* end;
+    int shard;
+    void SkipMirrors(const pipeline::PartitionMap& map) {
+      while (it != end && map.PartOf(it->src) != shard) ++it;
+    }
+  };
+  const pipeline::PartitionMap& map = *pmap_;
+  std::vector<Run> heap;  // runs with an owned edge left, min head on top
+  const auto after = [](const Run& a, const Run& b) {
+    return graph::CanonicalEdgeLess(*b.it, *a.it);
+  };
+  for (int k = 0; k < num_shards_; ++k) {
+    const TimedEdge* base = windows_[k].edges().data();
+    Run r{base + range_cursors_[k].lo(), base + range_cursors_[k].hi(), k};
+    r.SkipMirrors(map);
+    if (r.it != r.end) heap.push_back(r);
+  }
+  std::make_heap(heap.begin(), heap.end(), after);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    Run& r = heap.back();
+    do {
+      take(*r.it);
+      ++r.it;
+      r.SkipMirrors(map);
+    } while (r.it != r.end &&
+             (heap.size() == 1 || graph::CanonicalEdgeLess(*r.it, *heap[0].it)));
+    if (r.it != r.end) {
+      std::push_heap(heap.begin(), heap.end(), after);
+    } else {
+      heap.pop_back();
+    }
+  }
+  return next_gid;
 }
 
 void StreamServer::RunOwnerDetection(int o, double window_start,
@@ -1561,38 +1492,6 @@ void StreamServer::RunOwnerDetection(int o, double window_start,
   ow.outcome = TickOutcome::kOk;
   ow.wall_seconds = 0;
   ow.reused = 0;
-  // Each shard's bucket is a canonically-ordered subsequence of its window;
-  // an N-way merge restores the owner's edges to exactly the order the
-  // 1-shard window would iterate them in — the invariant the snapshot's
-  // local-id assignment (and through it every LP tie-break) depends on.
-  // A lone non-empty bucket (always the case on one shard) is already in
-  // that order and is moved in rather than copied.
-  ow.edges.clear();
-  ow.borrowed_from = -1;
-  int nonempty = 0, last = -1;
-  for (int k = 0; k < num_shards_; ++k) {
-    if (!shards_[k].owner_buckets[o].empty()) {
-      ++nonempty;
-      last = k;
-    }
-  }
-  if (nonempty == 1) {
-    ow.borrowed_from = last;
-    ow.edges = std::move(shards_[last].owner_buckets[o]);
-  }
-  for (int k = 0; k < num_shards_ && nonempty > 1; ++k) {
-    const std::vector<TimedEdge>& bucket = shards_[k].owner_buckets[o];
-    if (bucket.empty()) continue;
-    if (ow.edges.empty()) {
-      ow.edges = bucket;
-      continue;
-    }
-    ow.merge_tmp.clear();
-    ow.merge_tmp.reserve(ow.edges.size() + bucket.size());
-    std::merge(ow.edges.begin(), ow.edges.end(), bucket.begin(), bucket.end(),
-               std::back_inserter(ow.merge_tmp), graph::CanonicalEdgeLess);
-    std::swap(ow.edges, ow.merge_tmp);
-  }
   if (ow.edges.empty()) return;  // this shard owns no components this tick
   glp::Timer owner_timer;
   // Pool workers append spans concurrently (SpanSink is mutex-guarded);
@@ -1606,45 +1505,31 @@ void StreamServer::RunOwnerDetection(int o, double window_start,
   owner_span.AddLabel("shard", std::to_string(o));
   owner_span.AddLabel("edges", std::to_string(ow.edges.size()));
 
-  // Snapshot build, mirroring SlidingWindow::SnapshotRange on the merged
-  // edge list (dense epoch-stamped remap, first-appearance local ids), also
-  // noting where each local id first appears for AssignWindowLocalIds.
-  graph::SlidingWindow::Scratch& sc = ow.scratch;
-  if (sc.epoch_of.size() < universe_) {
-    sc.epoch_of.assign(universe_, 0);
-    sc.local_of.resize(universe_);
-    sc.epoch = 0;
-  }
-  if (++sc.epoch == 0) {
-    std::fill(sc.epoch_of.begin(), sc.epoch_of.end(), 0u);
-    sc.epoch = 1;
-  }
-  const uint32_t epoch = sc.epoch;
-  ow.snap.local_to_global.clear();
-  ow.first_edge.clear();
-  size_t edge_idx = 0;
-  auto intern = [&](VertexId g) {
-    if (sc.epoch_of[g] != epoch) {
-      sc.epoch_of[g] = epoch;
-      sc.local_of[g] = static_cast<VertexId>(ow.snap.local_to_global.size());
-      ow.snap.local_to_global.push_back(g);
-      ow.first_edge.push_back(edge_idx);
+  {
+    obs::ScopedSpan snapshot_span(collect ? &span_sink_ : nullptr,
+                                  owner_span.context(), "serve.snapshot");
+    graph::GraphBuilder builder(
+        static_cast<VertexId>(ow.snap.local_to_global.size()));
+    builder.Reserve(ow.edges.size());
+    for (const graph::Edge& e : ow.edges) {
+      builder.AddEdgeUnchecked(e.src, e.dst);
     }
-    return sc.local_of[g];
-  };
-  std::vector<graph::Edge> local;
-  local.reserve(ow.edges.size());
-  for (; edge_idx < ow.edges.size(); ++edge_idx) {
-    const TimedEdge& e = ow.edges[edge_idx];
-    local.push_back({intern(e.src), intern(e.dst)});
+    ow.snap.graph = config_.detect.collapse_window_graphs
+                        ? builder.BuildCollapsed(/*symmetrize=*/true)
+                        : builder.Build(/*symmetrize=*/true, /*dedupe=*/false);
   }
-  graph::GraphBuilder builder(
-      static_cast<VertexId>(ow.snap.local_to_global.size()));
-  builder.Reserve(local.size());
-  for (const graph::Edge& e : local) builder.AddEdgeUnchecked(e.src, e.dst);
-  ow.snap.graph = config_.detect.collapse_window_graphs
-                      ? builder.BuildCollapsed(/*symmetrize=*/true)
-                      : builder.Build(/*symmetrize=*/true, /*dedupe=*/false);
+
+  // An anchor entity's owner-local id, when the anchor is in this owner's
+  // snapshot (stamped by this tick's ordered pass and owned here);
+  // kInvalidVertex otherwise. tick_ids_ and owner_of_ are read-only during
+  // the fan-out.
+  const graph::SlidingWindow::Scratch& ids = tick_ids_;
+  const auto local_of_anchor = [&](VertexId anchor) {
+    return static_cast<size_t>(anchor) < ids.epoch_of.size() &&
+                   ids.epoch_of[anchor] == ids.epoch && owner_of_[anchor] == o
+               ? ids.local_of[anchor]
+               : graph::kInvalidVertex;
+  };
 
   // Warm init from the global anchor map: an entity resumes its previous
   // label re-expressed as the anchor entity's local id, when the anchor
@@ -1654,14 +1539,11 @@ void StreamServer::RunOwnerDetection(int o, double window_start,
   if (warm_wanted) {
     warm_init.resize(ow.snap.local_to_global.size());
     for (size_t v = 0; v < ow.snap.local_to_global.size(); ++v) {
-      Label out = static_cast<Label>(v);
       const VertexId g = ow.snap.local_to_global[v];
-      const VertexId anchor =
-          g < warm_anchor_.size() ? warm_anchor_[g] : graph::kInvalidVertex;
-      if (anchor < sc.epoch_of.size() && sc.epoch_of[anchor] == epoch) {
-        out = static_cast<Label>(sc.local_of[anchor]);
-      }
-      warm_init[v] = out;
+      const VertexId local = local_of_anchor(
+          g < warm_anchor_.size() ? warm_anchor_[g] : graph::kInvalidVertex);
+      warm_init[v] = static_cast<Label>(
+          local != graph::kInvalidVertex ? local : static_cast<VertexId>(v));
     }
   }
 
@@ -1685,27 +1567,25 @@ void StreamServer::RunOwnerDetection(int o, double window_start,
         dd.clean_labels[v] = static_cast<Label>(v);  // defined but unread
         continue;
       }
-      const VertexId anchor = static_cast<size_t>(g) < anchor_of_.size()
-                                  ? anchor_of_[g]
-                                  : graph::kInvalidVertex;
-      if (anchor == graph::kInvalidVertex ||
-          static_cast<size_t>(anchor) >= universe_ ||
-          sc.epoch_of[anchor] != epoch) {
+      const VertexId local = local_of_anchor(
+          static_cast<size_t>(g) < anchor_of_.size() ? anchor_of_[g]
+                                                     : graph::kInvalidVertex);
+      if (local == graph::kInvalidVertex) {
         delta_ok = false;
         break;
       }
-      dd.clean_labels[v] = static_cast<Label>(sc.local_of[anchor]);
+      dd.clean_labels[v] = static_cast<Label>(local);
     }
     if (delta_ok && !dd.extract_all) {
       for (const size_t idx : owner_records_[o]) {
         const ClusterRecord& rec = records_[idx];
-        if (static_cast<size_t>(rec.label_anchor) >= universe_ ||
-            sc.epoch_of[rec.label_anchor] != epoch) {
+        const VertexId label = local_of_anchor(rec.label_anchor);
+        if (label == graph::kInvalidVertex) {
           delta_ok = false;
           break;
         }
         pipeline::SuspiciousCluster c = rec.cluster;
-        c.label = static_cast<Label>(sc.local_of[rec.label_anchor]);
+        c.label = static_cast<Label>(label);
         dd.reused.push_back(std::move(c));
       }
     }
@@ -1790,45 +1670,6 @@ void StreamServer::RunOwnerDetection(int o, double window_start,
   owner_span.AddLabel("warm", ow.warm ? "1" : "0");
 }
 
-size_t StreamServer::AssignWindowLocalIds() {
-  // An owner's local ids follow first appearance in its edges, a canonically
-  // ordered subsequence of the window, and every entity's first window edge
-  // lies in its own owner (components are owned whole). Merging the owners'
-  // id sequences by that first edge therefore reproduces the window's
-  // first-appearance order: the ids a 1-shard snapshot assigns. Distinct
-  // owners never share an edge, so the merge has no ties.
-  struct Head {
-    int owner;
-    size_t v;
-  };
-  const auto first_edge = [this](const Head& h) -> const TimedEdge& {
-    const OwnerWork& ow = owners_[h.owner];
-    return ow.edges[ow.first_edge[h.v]];
-  };
-  const auto after = [&](const Head& a, const Head& b) {
-    return graph::CanonicalEdgeLess(first_edge(b), first_edge(a));
-  };
-  std::priority_queue<Head, std::vector<Head>, decltype(after)> heads(after);
-  for (int o = 0; o < num_shards_; ++o) {
-    OwnerWork& ow = owners_[o];
-    if (!ow.ran) continue;
-    ow.gid.resize(ow.snap.local_to_global.size());
-    if (!ow.gid.empty()) heads.push({o, 0});
-  }
-  VertexId next = 0;
-  while (!heads.empty()) {
-    Head h = heads.top();
-    heads.pop();
-    std::vector<VertexId>& gid = owners_[h.owner].gid;
-    // Take this owner's ids while they precede every other owner's head.
-    do {
-      gid[h.v++] = next++;
-    } while (h.v < gid.size() && (heads.empty() || !after(h, heads.top())));
-    if (h.v < gid.size()) heads.push(h);
-  }
-  return next;
-}
-
 StreamServer::TickOutcome StreamServer::RunTick(
     double end_time) {
   glp::Timer tick_timer;
@@ -1884,64 +1725,25 @@ StreamServer::TickOutcome StreamServer::RunTick(
   if (degraded) ins_.degraded_ticks->Increment();
 
   glp::Timer build_timer;
-  universe_ = 0;
-  for (const graph::SlidingWindow& w : windows_) {
-    if (w.num_stream_edges() == 0) continue;
-    universe_ =
-        std::max(universe_, static_cast<size_t>(w.max_entity()) + 1);
-  }
-  // Incremental mode replaces the per-shard union-finds AND the boundary
-  // stitch with one persistent fleet-wide tracker; it must be updated even
-  // when the windows went empty (the expirations that emptied them count).
-  bool delta_applied = false;
-  if (config_.tick.incremental) {
-    obs::ScopedSpan uf_span(collect ? &span_sink_ : nullptr, root_ctx,
-                            "serve.union_find");
-    delta_applied = UpdateIncrementalTracker(tr.window_start, end_time);
-    uf_span.AddLabel("mode", delta_applied ? "delta" : "rebuild");
-  } else {
-    obs::ScopedSpan comp_span(collect ? &span_sink_ : nullptr, root_ctx,
-                              "serve.components");
-    pool()->ParallelFor(
-        0, num_shards_,
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t k = lo; k < hi; ++k) {
-            ShardComponents(static_cast<int>(k), tr.window_start, end_time);
-          }
-        },
-        1);
-  }
+  universe_ = FleetUniverse();
+  // One persistent fleet-wide tracker gives the components in every tick
+  // mode; it must be updated even when the windows went empty (the
+  // expirations that emptied them count).
+  const bool delta_applied =
+      UpdateIncrementalTracker(tr.window_start, end_time);
   bool any_active = false;
-  for (const ShardScratch& s : shards_) any_active |= s.hi > s.lo;
+  for (const graph::WindowRangeCursor& c : range_cursors_) {
+    any_active |= c.hi() > c.lo();
+  }
 
   const bool warm_wanted = warm_mode && have_prev_ && !refresh_due &&
                            any_active;
 
   if (any_active) {
-    if (!config_.tick.incremental) {
-      obs::ScopedSpan stitch_span(collect ? &span_sink_ : nullptr, root_ctx,
-                                  "serve.stitch");
-      StitchComponents();
-    }
-    {
-      obs::ScopedSpan bucket_span(collect ? &span_sink_ : nullptr, root_ctx,
-                                  "serve.bucket_edges");
-      // Edge buffers owners borrowed last tick go back to their buckets.
-      for (int o = 0; o < num_shards_; ++o) {
-        OwnerWork& ow = owners_[o];
-        if (ow.borrowed_from < 0) continue;
-        shards_[ow.borrowed_from].owner_buckets[o] = std::move(ow.edges);
-        ow.borrowed_from = -1;
-      }
-      pool()->ParallelFor(
-          0, num_shards_,
-          [&](int64_t lo, int64_t hi) {
-            for (int64_t k = lo; k < hi; ++k) {
-              BucketShardEdges(static_cast<int>(k));
-            }
-          },
-          1);
-    }
+    obs::ScopedSpan snapshot_span(collect ? &span_sink_ : nullptr, root_ctx,
+                                  "serve.snapshot");
+    const size_t num_vertices = InternWindowEdges();
+    snapshot_span.End();
     const double build_seconds = build_timer.Seconds();
 
     // Snapshot the dirty flags and bucket reusable cluster records by
@@ -2023,7 +1825,6 @@ StreamServer::TickOutcome StreamServer::RunTick(
     // published tick is exactly the one a 1-shard server computes. A tick
     // counts as warm only when every owner that ran kept its warm start (a
     // mixed tick reports cold).
-    const size_t num_vertices = AssignWindowLocalIds();
     tr.warm = warm_wanted;
     tr.detection.build_seconds = build_seconds;
     tr.detection.lp.labels.resize(num_vertices);
@@ -2042,8 +1843,8 @@ StreamServer::TickOutcome StreamServer::RunTick(
           static_cast<double>(ow.num_components));
       shard_ins_[o].window_edges->Set(
           static_cast<double>(windows_[o].num_stream_edges()));
-      shard_ins_[o].inwindow_edges->Set(
-          static_cast<double>(shards_[o].hi - shards_[o].lo));
+      shard_ins_[o].inwindow_edges->Set(static_cast<double>(
+          range_cursors_[o].hi() - range_cursors_[o].lo()));
       if (!ow.ran) continue;
       tr.warm = tr.warm && ow.warm;
       shard_ins_[o].tick_seconds->Observe(ow.wall_seconds);

@@ -15,11 +15,11 @@
 //   Ingest(batch) --route by PartitionOf--> bounded queue of routed batches
 //                                             detection thread
 //                                               parallel per-shard Append
-//                                               per-shard union-find [lo,hi)
-//                                               boundary stitch (global UF)
+//                                               per-shard window advance
+//                                               fleet union-find (tracker)
 //                                               component -> owner shard
+//                                               ordered pass: edges -> owners
 //                                               parallel per-owner detection
-//                                               relabel into window local ids
 //                                               confirmed-cluster diff
 //                                                 -> subscribers
 //
@@ -29,16 +29,17 @@
 // *is* exactly decomposable is connectivity: labels never cross connected
 // components, and per-component LP is order-isomorphic to the global run
 // (an owner's local ids keep the window's first-appearance order, so every
-// MFL tie-break resolves identically). The per-shard union-finds + the
-// boundary-entity stitch compute global components cheaply in parallel;
-// whole components are then assigned to owner shards
-// (PartitionOf(min-entity)) and detected in parallel. Because owner local
-// ids are order-isomorphic to the window's, one merge of the owners' id
-// sequences (O(V log N); a plain O(V) pass on one shard) maps them back:
-// every tick publishes labels, clusters and warm-start labels in the
-// window's canonical local-id space, so a cold N-shard tick is identical
-// to the 1-shard tick — labels included. With one shard the owner snapshot
-// is the window snapshot and the map is the identity.
+// MFL tie-break resolves identically). One persistent fleet-wide
+// union-find (serve::IncrementalTracker) fed by the shard windows' deltas
+// gives the global components in every tick mode; whole components are
+// assigned to owner shards (PartitionOf(min-entity)). One ordered pass — a
+// k-way merge of the shard windows' owned in-window edges (a single scan on
+// one shard) — interns each edge into its owner's snapshot edge list and
+// gives each entity its window id on first appearance, so every tick
+// publishes labels, clusters and warm-start labels in the window's
+// canonical local-id space, and a cold N-shard tick is identical to the
+// 1-shard tick — labels included. With one shard the owner snapshot is
+// the window snapshot and the map is the identity.
 //
 // Warm start anchors each entity's label to an entity id. With N > 1 an
 // anchor that lands in another owner's components is dropped (the entity
@@ -67,6 +68,7 @@
 #include <thread>
 #include <vector>
 
+#include "graph/builder.h"
 #include "graph/sliding_window.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -205,46 +207,12 @@ class StreamServer : public Server {
 
   enum class TickOutcome { kOk, kAbandoned, kCancelled, kFatal };
 
-  /// Epoch-stamped entity interning scratch, reusable across ticks.
-  struct EntityIntern {
-    std::vector<uint32_t> epoch_of;
-    std::vector<graph::VertexId> local_of;
-    uint32_t epoch = 0;
-
-    void EnsureUniverse(size_t universe);
-    void Bump();
-    bool Has(graph::VertexId g) const { return epoch_of[g] == epoch; }
-    graph::VertexId Intern(graph::VertexId g,
-                           std::vector<graph::VertexId>* entities);
-  };
-
-  /// Per-shard tick scratch: window range, interned active entities, and
-  /// the shard-local union-find over them.
-  struct ShardScratch {
-    size_t lo = 0, hi = 0;
-    EntityIntern intern;
-    std::vector<graph::VertexId> entities;  ///< local -> entity
-    std::vector<graph::VertexId> uf;        ///< local -> parent local
-    /// Edges this shard contributes to each owner (src-owned copies only,
-    /// canonical order within each bucket).
-    std::vector<std::vector<graph::TimedEdge>> owner_buckets;
-  };
-
   /// Per-owner tick workspace and results.
   struct OwnerWork {
-    std::vector<graph::TimedEdge> edges;  ///< merged canonical order
-    std::vector<graph::TimedEdge> merge_tmp;
-    /// Shard whose bucket was moved into `edges` instead of merge-copied
-    /// (the owner's only non-empty bucket), or -1. The buffer goes back to
-    /// that bucket before the next tick's bucketing, so one copy of the
-    /// owner's window edges exists at a time.
-    int borrowed_from = -1;
-    graph::SlidingWindow::Scratch scratch;
+    /// The owner's window edges in canonical order, in owner-local ids
+    /// (filled by InternWindowEdges, built into `snap` by the owner).
+    std::vector<graph::Edge> edges;
     graph::WindowSnapshot snap;
-    /// first_edge[v] = index into `edges` of the edge local v first appears
-    /// in: the key that places this owner's local ids in the window's
-    /// first-appearance order.
-    std::vector<size_t> first_edge;
     /// gid[v] = local v's id in the window's canonical local-id space.
     std::vector<graph::VertexId> gid;
     std::vector<graph::Label> warm_init;  ///< owner-local warm init
@@ -254,7 +222,7 @@ class StreamServer : public Server {
     bool ran = false;   ///< detection produced a result this tick
     bool warm = false;  ///< the successful attempt was warm-started
     double wall_seconds = 0;
-    int64_t num_components = 0;
+    int64_t num_components = 0;  ///< counted by InternWindowEdges
     int64_t reused = 0;  ///< clusters reused verbatim (incremental delta)
   };
 
@@ -262,34 +230,34 @@ class StreamServer : public Server {
   void DetectLoop();
   bool RunDueTicks();
   TickOutcome RunTick(double end_time);
-  /// Computes shard k's window range and local connected components.
-  void ShardComponents(int k, double start_time, double end_time);
-  /// Serial boundary stitch: merges shard-local components into global
-  /// ones over shared entities, then assigns each component an owner
-  /// shard. Returns the number of components per owner.
-  void StitchComponents();
-  /// Scatters shard k's src-owned window edges into per-owner buckets.
-  void BucketShardEdges(int k);
-  /// Merges owner o's buckets, builds its snapshot (+ warm labels), and
+  /// The ordered pass: merges the shard windows' owned in-window edges in
+  /// canonical order (a single scan on one shard) and interns each edge into
+  /// its owner's edge list. Entities get their owner-local id (tick_ids_)
+  /// and window id (OwnerWork::gid) on first appearance, and each owner
+  /// counts its component roots. Returns the window's vertex count.
+  size_t InternWindowEdges();
+  /// Builds owner o's snapshot (+ warm labels) from its interned edges, and
   /// runs detection through the retry/degradation ladder. With `use_delta`
   /// set, builds a pipeline::DetectDelta from the fleet tracker's exported
   /// dirty flags so LP runs only on this owner's dirty components.
   void RunOwnerDetection(int o, double window_start, double window_end,
                          bool degraded, bool warm_wanted, bool use_delta);
-  /// Fills OwnerWork::gid for every owner that ran: merges the owners'
-  /// local-id sequences by first-appearance edge into the window's
-  /// canonical order. Returns the window's vertex count.
-  size_t AssignWindowLocalIds();
-  /// Incremental mode: advances every shard's range cursor and updates the
-  /// fleet-wide union-find — by per-shard deltas when all are exact (and
-  /// the serve.incremental_rebuild failpoint stays quiet), by a full
-  /// multi-window rebuild otherwise. Sets shards_[k].{lo,hi} and refreshes
-  /// owner_of_ for dirty components. Returns whether the delta path ran.
+  /// Advances every shard's range cursor and updates the fleet-wide
+  /// union-find — by per-shard deltas when all are exact (and the
+  /// serve.incremental_rebuild failpoint stays quiet), by a full
+  /// multi-window rebuild otherwise — then re-owns the changed components.
+  /// Runs in every tick mode. Returns whether the delta path ran.
   bool UpdateIncrementalTracker(double start_time, double end_time);
-  /// Full owner_of_ recompute from the tracker (rebuild/restore paths):
-  /// owner = pmap_->PartOf(component min entity), plus per-owner
-  /// component counts for the components_owned gauges.
-  void RefreshOwnersFromTracker();
+  /// Rebuilds the tracker from every shard's cursor range and recomputes
+  /// owner_of_ for every in-window entity: owner = pmap_->PartOf(component
+  /// min entity). `mark_all_dirty` as in IncrementalTracker::FinishRebuild.
+  void RebuildTracker(bool mark_all_dirty);
+  /// Restore and resize: recomputes universe_, primes every cursor at the
+  /// last completed tick and rebuilds the tracker clean, so the next tick
+  /// takes the exact delta path.
+  void ReseatTracker();
+  /// Max entity id + 1 across the shard windows.
+  size_t FleetUniverse() const;
   bool ValidBatch(const std::vector<graph::TimedEdge>& batch) const;
   /// The admission ladder behind Ingest and TryIngest: validate, route,
   /// then enqueue — waiting on a full queue when `block` is set, shedding
@@ -378,22 +346,18 @@ class StreamServer : public Server {
 
   // Tick scratch (detection thread + pool workers during a tick).
   size_t universe_ = 0;  ///< max entity id + 1 across shards
-  std::vector<ShardScratch> shards_;
   std::vector<OwnerWork> owners_;
-  EntityIntern stitch_intern_;
-  std::vector<graph::VertexId> stitch_entities_;
-  std::vector<graph::VertexId> stitch_uf_;
-  std::vector<graph::VertexId> comp_min_entity_;
-  /// owner_of_[entity] — valid for entities stamped in stitch_intern_; in
-  /// incremental mode, persistent across ticks for all in-window entities
+  /// One entity map for the whole tick: entities stamped by the ordered
+  /// pass carry their owner-local id in local_of.
+  graph::SlidingWindow::Scratch tick_ids_;
+  /// owner_of_[entity], persistent across ticks for all in-window entities
   /// (refreshed for dirty components each tick).
   std::vector<uint8_t> owner_of_;
 
-  // Incremental serving (config_.tick.incremental; DESIGN.md §4.10): one
-  // fleet-wide persistent union-find fed by per-shard window deltas — it
-  // replaces the per-shard union-finds and the boundary stitch entirely on
-  // exact ticks — plus the carried-over label anchors and cluster-record
-  // cache that make clean components free.
+  // Connectivity (DESIGN.md §4.10): one fleet-wide persistent union-find
+  // fed by per-shard window deltas, in every tick mode. Incremental mode
+  // (config_.tick.incremental) adds the carried-over label anchors and
+  // cluster-record cache that make clean components free.
   std::vector<graph::WindowRangeCursor> range_cursors_;  ///< one per shard
   IncrementalTracker inc_tracker_;
   /// anchor_of_[entity] = the entity whose owner-snapshot local id was this

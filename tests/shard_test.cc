@@ -114,40 +114,78 @@ void ExpectSameView(const TickView& got, const TickView& want, int64_t key) {
   EXPECT_EQ(got.confirmed_tp, want.confirmed_tp) << "tick " << key;
 }
 
-/// Replays the canonical stream through a 1-shard StreamServer.
-std::map<int64_t, TickView> RunSingle(const ServerConfig& cfg,
-                                      const std::vector<TimedEdge>& ordered) {
+/// Sum of the fleet's glp_serve_shard_components gauges: the connected
+/// components of the last tick's window.
+int64_t ComponentsOwned(StreamServer& server) {
+  double sum = 0;
+  for (int k = 0; k < server.num_shards(); ++k) {
+    sum += server.metrics()
+               ->GetGauge("glp_serve_shard_components", "",
+                          {{"shard", std::to_string(k)}})
+               ->Value();
+  }
+  return static_cast<int64_t>(sum);
+}
+
+/// Replays `batches` through an N-shard fleet. `stats_out` and
+/// `components_out` (ComponentsOwned) are read at the end of the replay.
+std::map<int64_t, TickView> Replay(
+    const ServerConfig& cfg, int num_shards,
+    std::vector<std::vector<TimedEdge>> batches,
+    ServerStats* stats_out = nullptr, int64_t* components_out = nullptr) {
   std::map<int64_t, TickView> out;
-  StreamServer server(cfg);
+  StreamServer server(cfg, num_shards);
   server.Subscribe(
       [&](const TickResult& t) { out[TickKey(t.window_end)] = ViewOf(t); });
   EXPECT_TRUE(server.Start().ok());
-  for (auto& batch : BatchEdges(ordered, 1000)) {
+  for (auto& batch : batches) {
     EXPECT_TRUE(server.Ingest(std::move(batch)));
   }
   server.Flush();
+  if (stats_out != nullptr) *stats_out = server.stats();
+  if (components_out != nullptr) *components_out = ComponentsOwned(server);
   server.Stop();
   EXPECT_TRUE(server.last_error().ok()) << server.last_error().ToString();
   return out;
+}
+
+/// Replays the canonical stream through a 1-shard StreamServer.
+std::map<int64_t, TickView> RunSingle(const ServerConfig& cfg,
+                                      const std::vector<TimedEdge>& ordered,
+                                      int64_t* components_out = nullptr) {
+  return Replay(cfg, 1, BatchEdges(ordered, 1000), nullptr, components_out);
 }
 
 /// Replays the canonical stream through an N-shard fleet.
 std::map<int64_t, TickView> RunSharded(const ServerConfig& cfg,
                                        int num_shards,
                                        const std::vector<TimedEdge>& ordered,
-                                       ServerStats* stats_out = nullptr) {
-  std::map<int64_t, TickView> out;
-  StreamServer server(cfg, num_shards);
-  server.Subscribe(
-      [&](const TickResult& t) { out[TickKey(t.window_end)] = ViewOf(t); });
-  EXPECT_TRUE(server.Start().ok());
-  for (auto& batch : BatchEdges(ordered, 1000)) {
-    EXPECT_TRUE(server.Ingest(std::move(batch)));
+                                       ServerStats* stats_out = nullptr,
+                                       int64_t* components_out = nullptr) {
+  return Replay(cfg, num_shards, BatchEdges(ordered, 1000), stats_out,
+                components_out);
+}
+
+/// The canonical stream in 1000-edge batches, except that every seventh
+/// edge of days [19, 20) is held back and delivered as one late batch once
+/// the stream has passed day 26. The tick ending at day 25 has already
+/// taken those days into its window range, so the late edges sort inside
+/// the previous range: the next window advance is inexact.
+std::vector<std::vector<TimedEdge>> LateBatchInput(
+    const std::vector<TimedEdge>& ordered) {
+  std::vector<TimedEdge> on_time, late;
+  for (size_t i = 0; i < ordered.size(); ++i) {
+    const TimedEdge& e = ordered[i];
+    (e.time >= 19 && e.time < 20 && i % 7 == 0 ? late : on_time).push_back(e);
   }
-  server.Flush();
-  if (stats_out != nullptr) *stats_out = server.stats();
-  server.Stop();
-  EXPECT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+  std::vector<std::vector<TimedEdge>> out;
+  for (auto& batch : BatchEdges(on_time, 1000)) {
+    out.push_back(std::move(batch));
+    if (!late.empty() && out.back().back().time >= 26) {
+      out.push_back(std::move(late));
+      late.clear();
+    }
+  }
   return out;
 }
 
@@ -176,27 +214,64 @@ class ShardTest : public ::testing::Test {
 
 // The acceptance invariant: an N-shard cold replay of the canonical stream
 // produces exactly the 1-shard confirmed clusters (up to renumbering) at
-// every tick — for both a power-of-two and an odd shard count.
+// every tick — for both a power-of-two and an odd shard count. The fleet
+// tracker gives the components in cold mode too, so the input also drives
+// its rebuild path: a late batch that makes a window delta inexact, and an
+// armed serve.incremental_rebuild failpoint on the N-shard side. The
+// per-shard component gauges sum to the 1-shard count.
 TEST_F(ShardTest, ColdShardedReplayMatchesSingleShardExactly) {
   const auto stream = pipeline::GenerateTransactions(SmallStreamConfig());
   const auto ordered = CanonicalEdges(stream);
   const ServerConfig cfg = ColdServerConfig(stream);
 
-  const auto want = RunSingle(cfg, ordered);
+  int64_t want_components = 0;
+  const auto want = RunSingle(cfg, ordered, &want_components);
   ASSERT_GE(want.size(), 4u);
+  EXPECT_GT(want_components, 0);
 
-  for (const int shards : {4, 3}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    ServerStats stats;
-    const auto got = RunSharded(cfg, shards, ordered, &stats);
-    ASSERT_EQ(got.size(), want.size());
-    for (const auto& [key, view] : want) {
+  auto expect_same = [&](const std::map<int64_t, TickView>& got,
+                         const std::map<int64_t, TickView>& base) {
+    ASSERT_EQ(got.size(), base.size());
+    for (const auto& [key, view] : base) {
       ASSERT_TRUE(got.count(key)) << "missing tick " << key;
       ExpectSameView(got.at(key), view, key);
     }
+  };
+  for (const int shards : {4, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ServerStats stats;
+    int64_t components = 0;
+    const auto got = RunSharded(cfg, shards, ordered, &stats, &components);
+    expect_same(got, want);
     EXPECT_EQ(stats.ticks, static_cast<int64_t>(got.size()));
     EXPECT_EQ(stats.ticks_failed, 0);
     EXPECT_EQ(stats.cold_ticks, stats.ticks);
+    EXPECT_EQ(components, want_components);
+  }
+
+  {
+    SCOPED_TRACE("late batch");
+    const auto late_want = Replay(cfg, 1, LateBatchInput(ordered));
+    ASSERT_GE(late_want.size(), 4u);
+    ServerStats stats;
+    const auto got = Replay(cfg, 3, LateBatchInput(ordered), &stats);
+    expect_same(got, late_want);
+    // The first tick and the one after the late batch rebuild.
+    EXPECT_GE(stats.incremental_rebuilds, 2);
+    EXPECT_EQ(stats.ticks_failed, 0);
+  }
+
+  {
+    SCOPED_TRACE("serve.incremental_rebuild armed");
+    ASSERT_TRUE(fail::FailpointRegistry::Global()
+                    .Parse("serve.incremental_rebuild=error(internal)@every2")
+                    .ok());
+    ServerStats stats;
+    const auto got = RunSharded(cfg, 3, ordered, &stats);
+    fail::FailpointRegistry::Global().ResetToEnv();
+    expect_same(got, want);
+    EXPECT_GE(stats.incremental_rebuilds, 2);
+    EXPECT_EQ(stats.ticks_failed, 0);
   }
 }
 
@@ -421,7 +496,8 @@ TEST_F(ShardTest, IncrementalShardedReplayMatchesColdSingleShard) {
   const auto ordered = CanonicalEdges(stream);
   const ServerConfig cold = ColdServerConfig(stream);
 
-  const auto want = RunSingle(cold, ordered);
+  int64_t want_components = 0;
+  const auto want = RunSingle(cold, ordered, &want_components);
   ASSERT_GE(want.size(), 4u);
 
   ServerConfig inc = cold;
@@ -429,7 +505,8 @@ TEST_F(ShardTest, IncrementalShardedReplayMatchesColdSingleShard) {
   for (const int shards : {4, 3}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     ServerStats stats;
-    const auto got = RunSharded(inc, shards, ordered, &stats);
+    int64_t components = 0;
+    const auto got = RunSharded(inc, shards, ordered, &stats, &components);
     ASSERT_EQ(got.size(), want.size());
     for (const auto& [key, view] : want) {
       ASSERT_TRUE(got.count(key)) << "missing tick " << key;
@@ -437,6 +514,8 @@ TEST_F(ShardTest, IncrementalShardedReplayMatchesColdSingleShard) {
     }
     EXPECT_EQ(stats.ticks_failed, 0);
     EXPECT_EQ(stats.incremental_rebuilds, 1);
+    // Delta ticks count components too, not only rebuild ticks.
+    EXPECT_EQ(components, want_components);
   }
 }
 

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -363,6 +364,41 @@ TEST(TraceNetTest, QueueCarriedContextSurvivesShardRouting) {
   }
   EXPECT_GT(queue_wait_hits, 0u);
   EXPECT_GT(owner_detects, 0u);
+
+  // Every tick names its window advance, union-find and snapshot stages as
+  // direct children of the root, and none of the retired per-shard
+  // union-find, stitch and bucketing spans. The stages run one after
+  // another inside the tick wall, so their durations add up to at most the
+  // wall. The owners' detections may run concurrently, so they count once,
+  // as the envelope of the fan-out; serve.publish runs after the wall is
+  // taken.
+  for (const auto& t : ticks) {
+    const obs::Span& root = t.spans.front();
+    std::set<std::string> stages;
+    double staged = 0;
+    double fan_begin = std::numeric_limits<double>::infinity();
+    double fan_end = -fan_begin;
+    for (const auto& s : t.spans) {
+      EXPECT_NE(s.name, "serve.components") << "tick " << t.tick;
+      EXPECT_NE(s.name, "serve.stitch") << "tick " << t.tick;
+      EXPECT_NE(s.name, "serve.bucket_edges") << "tick " << t.tick;
+      if (s.trace_id != root.trace_id || s.parent_span_id != root.span_id) {
+        continue;
+      }
+      stages.insert(s.name);
+      if (s.name == "serve.owner_detect") {
+        fan_begin = std::min(fan_begin, s.start_seconds);
+        fan_end = std::max(fan_end, s.start_seconds + s.duration_seconds);
+      } else if (s.name != "serve.publish") {
+        staged += s.duration_seconds;
+      }
+    }
+    if (fan_end > fan_begin) staged += fan_end - fan_begin;
+    EXPECT_TRUE(stages.count("serve.window_advance")) << "tick " << t.tick;
+    EXPECT_TRUE(stages.count("serve.union_find")) << "tick " << t.tick;
+    EXPECT_TRUE(stages.count("serve.snapshot")) << "tick " << t.tick;
+    EXPECT_LE(staged, t.tick_wall_seconds + 1e-6) << "tick " << t.tick;
+  }
 
   // Freshness lands under the IngestContext's tenant even across shards.
   const std::string text = registry.PrometheusText();

@@ -119,14 +119,14 @@ void Usage() {
       "  --engine <e>   seq | tg | ligra | omp | gsort | ghash | glp\n"
       "  --iters <n>    LP iteration cap per tick (default 20)\n"
       "  --cold         disable warm starts (every tick from scratch)\n"
-      "  --incremental  persistent cross-tick union-find: LP only on\n"
-      "                 components the window advance changed, clean\n"
+      "  --incremental  LP only on the components the window advance\n"
+      "                 changed (dirty in the cross-tick union-find), clean\n"
       "                 clusters reused verbatim (DESIGN.md §4.10; output\n"
       "                 identical to a cold replay; needs an even --iters)\n"
       "  --refresh <n>  cold-refresh every n ticks (counters warm-start\n"
       "                 label-granularity drift; 0 = never; default 32)\n"
-      "  --shards <n>   hash-partition entities across n server shards\n"
-      "                 (cross-shard components stitched per tick; default 1)\n"
+      "  --shards <n>   hash-partition entities across n server shards; each\n"
+      "                 component is detected on one owner shard (default 1)\n"
       "  --profile      per-phase profile of the serving run\n"
       "  --quiet        suppress per-tick lines (stats JSON only)\n"
       "elastic resharding (DESIGN.md 4.14):\n"
@@ -730,7 +730,7 @@ int main(int argc, char** argv) {
   }
   if (args.shards > 1) {
     std::printf("sharded fleet: %d shards (entities hash-partitioned, "
-                "cross-shard clusters stitched per tick)\n",
+                "components detected on their owner shard)\n",
                 args.shards);
   }
   std::unique_ptr<serve::Server> server = serve::MakeServer(cfg, args.shards);
