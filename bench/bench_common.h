@@ -100,7 +100,8 @@ inline std::string Count(double x) {
 }
 
 /// Device used by the figure benches: a Titan V whose *fixed* overheads
-/// (kernel launch latency) are scaled down with the dataset scale. The
+/// (kernel launch latency, grid barrier latency, PCIe latency) are scaled
+/// down with the dataset scale. The
 /// datasets run at ~1/128 the paper's size (x the --scale flag); keeping
 /// full-size launch latency against 128x-smaller kernels would make every
 /// small-graph iteration launch-bound, which the paper's full-size runs are
@@ -109,6 +110,7 @@ inline sim::DeviceProps ScaledDevice(double scale) {
   sim::DeviceProps d = sim::DeviceProps::TitanV();
   d.kernel_launch_overhead_s =
       std::max(2e-8, d.kernel_launch_overhead_s * scale / 128.0);
+  d.grid_sync_s = std::max(2e-8, d.grid_sync_s * scale / 128.0);
   d.pcie_latency_s = std::max(2e-8, d.pcie_latency_s * scale / 128.0);
   return d;
 }

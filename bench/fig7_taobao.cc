@@ -64,6 +64,8 @@ int main(int argc, char** argv) {
     auto device = sim::DeviceProps::TitanVWithCapacity(capacity);
     device.kernel_launch_overhead_s =
         std::max(2e-8, device.kernel_launch_overhead_s * flags.scale / 2000.0);
+    device.grid_sync_s =
+        std::max(2e-8, device.grid_sync_s * flags.scale / 2000.0);
     device.pcie_latency_s =
         std::max(2e-8, device.pcie_latency_s * flags.scale / 2000.0);
     lp::GlpOptions one, two;

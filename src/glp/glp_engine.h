@@ -10,9 +10,23 @@
 //                    mid bin  -> warp-per-vertex shared-HT kernel
 //                    high bin -> block-per-vertex CMS+HT kernel (§4.1)
 //                    (mode kGlobal/kSmem fall back per Table 3)
-//   UpdateVertex     host hook + charged commit/auxiliary kernels
+//                    Each kernel's commit writes Lnext and counts the
+//                    labels it changes into a device counter (and, under
+//                    stop_when_stable, those differing from two commits
+//                    back): the commit needs no launch of its own.
+//   UpdateVertex     host hook; the label swap is a pointer flip. Charged
+//                    auxiliary kernels remain for variants with extra state
+//                    (SLP's memory merge, which counts SLP's changes; LLP's
+//                    volume rebuild).
 //
-// Timing: every launch is priced by the roofline cost model; multi-GPU
+// Launch structure: a single-GPU run whose graph fits on the device is one
+// persistent kernel. It pays one launch, and every former launch boundary
+// inside it is a grid barrier; the barrier that ends an iteration is where,
+// under stop_when_stable, the blocks read the counters and stop together.
+// Multi-GPU and hybrid runs exchange labels between iterations (a peer
+// all-gather, a host sync), so they launch every phase of every iteration.
+//
+// Timing: every phase is priced by the roofline cost model; multi-GPU
 // divides kernel time across devices and adds a partially-overlapped label
 // all-gather; hybrid mode adds the non-overlappable part of streaming the
 // CSR over PCIe each iteration.
@@ -21,6 +35,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
 #include <vector>
 
 #include "glp/kernels/accounting.h"
@@ -32,6 +47,7 @@
 #include "glp/run.h"
 #include "graph/binning.h"
 #include "sim/cost_model.h"
+#include "sim/launch.h"
 #include "sim/transfer.h"
 #include "util/bits.h"
 #include "util/thread_pool.h"
@@ -79,6 +95,12 @@ class GlpEngine : public Engine {
   /// Low-bin packing efficiency of the last run.
   double last_plan_occupancy() const { return plan_occupancy_; }
 
+  /// Device counters of iteration `iter` of the last run: the labels its
+  /// commit changed, and the labels that differ from two commits back
+  /// (counted under stop_when_stable from the second iteration on, else 0).
+  uint32_t last_changed(int iter) const { return counters_[2 * iter]; }
+  uint32_t last_two_back(int iter) const { return counters_[2 * iter + 1]; }
+
   using Engine::Run;
   Result<RunResult> Run(const graph::Graph& g, const RunConfig& config,
                         const RunContext& ctx) override {
@@ -117,6 +139,9 @@ class GlpEngine : public Engine {
       std::vector<graph::VertexId> all_vertices;  // mode kGlobal
       GlobalHtArena arena;                        // mode kGlobal
       LowDegreePlan plan;                         // mode kSmemWarp
+      /// Sorted partition vertices when the partition is not all of them
+      /// (the memory-merge change count of kCountsInMerge variants).
+      std::vector<graph::VertexId> members;
       int low_ht_capacity = 64;
       int mid_ht_capacity = 64;
       uint64_t vertices = 0;
@@ -137,9 +162,21 @@ class GlpEngine : public Engine {
     device_bytes += nu * variant.memory_bytes_per_vertex();
     device_bytes += nu * sizeof(graph::VertexId);  // bin lists
 
+    // SLP-style variants choose into Lnext but count a change against their
+    // previous choice, so their memory merge counts instead of the kernels.
+    constexpr bool kCountsInMerge =
+        requires(const Variant& v) { v.prev_choices(); };
     double occupancy_sum = 0;
+    int64_t max_shared_bytes = 0;  // largest per-block footprint of a phase
     for (GpuPartition& part : parts) {
       part.vertices = part.bins.total();
+      if (kCountsInMerge && num_gpus > 1) {
+        for (const auto* b : {&part.bins.low, &part.bins.mid,
+                              &part.bins.high}) {
+          part.members.insert(part.members.end(), b->begin(), b->end());
+        }
+        std::sort(part.members.begin(), part.members.end());
+      }
       if (!use_smem) {
         // Mode "global": one big per-vertex hash-table arena, all bins.
         part.all_vertices.reserve(part.bins.total());
@@ -160,6 +197,21 @@ class GlpEngine : public Engine {
         }
         part.low_ht_capacity = NextPow2(2 * low_max);
         part.mid_ht_capacity = NextPow2(2 * mid_max);
+        const int tpb = options_.threads_per_block;
+        if (!use_warp_pack && !part.bins.low.empty()) {
+          max_shared_bytes = std::max(
+              max_shared_bytes,
+              WarpPerVertexSmemBytes(tpb, part.low_ht_capacity));
+        }
+        if (!part.bins.mid.empty()) {
+          max_shared_bytes = std::max(
+              max_shared_bytes,
+              WarpPerVertexSmemBytes(tpb, part.mid_ht_capacity));
+        }
+        if (!part.bins.high.empty()) {
+          max_shared_bytes =
+              std::max(max_shared_bytes, HighDegreeSmemBytes(options_));
+        }
         if (use_warp_pack) {
           part.plan = BuildLowDegreePlan(g, part.bins.low);
           occupancy_sum += part.plan.occupancy;
@@ -168,6 +220,11 @@ class GlpEngine : public Engine {
       }
     }
     if (use_warp_pack) plan_occupancy_ = occupancy_sum / num_gpus;
+    // Device change counters: a (changed, two-back) pair per iteration,
+    // zeroed with the upload.
+    counters_.assign(
+        2 * static_cast<size_t>(std::max(0, config.max_iterations)), 0);
+    device_bytes += counters_.size() * sizeof(uint32_t);
     // Aggregate device memory grows with the GPU count; keep a 10% reserve
     // for kernel working buffers.
     const uint64_t effective_capacity =
@@ -177,6 +234,12 @@ class GlpEngine : public Engine {
     const double resident_fraction =
         std::min(1.0, 0.9 * static_cast<double>(effective_capacity) /
                           static_cast<double>(device_bytes));
+    // One persistent launch per run unless labels leave the device between
+    // iterations. Its grid is what stays resident under the largest phase
+    // footprint; every phase's blocks stride over it as virtual blocks.
+    const bool persistent = num_gpus == 1 && !hybrid;
+    const int64_t grid_blocks = sim::ResidentGridBlocks(
+        device_, options_.threads_per_block, max_shared_bytes);
 
     // Frontier mode needs per-vertex change tracking; it composes with the
     // shared-memory modes only (the kGlobal arena is positionally indexed)
@@ -204,16 +267,25 @@ class GlpEngine : public Engine {
     transfers.HostToDevice(device_bytes);
     const double initial_transfer = transfers.seconds();
 
-    StabilityTracker stability;
+    // StabilityTracker's rule, on the device's two-back counts.
     const bool track_cycles =
         config.stop_when_stable && !variant.needs_pick_kernel();
-    if (track_cycles) stability.Reset(variant.labels());
+    bool launched = false;  // the persistent run's one launch is issued
 
     for (int iter = 0; iter < config.max_iterations; ++iter) {
       if (ctx.StopRequested()) return Status::Cancelled("GLP run cancelled");
       if (profiler != nullptr) profiler->BeginIteration(iter);
       variant.BeginIteration(iter);
-      const DeviceView<Variant> view = DeviceView<Variant>::Of(g, variant);
+      DeviceView<Variant> view = DeviceView<Variant>::Of(g, variant);
+      const int64_t changed_slot = 2 * static_cast<int64_t>(iter);
+      const int64_t two_back_slot = changed_slot + 1;
+      // Two commits back exists from the second iteration on.
+      const bool count_two_back = track_cycles && iter > 0;
+      if constexpr (!kCountsInMerge) {
+        view.counters = counters_.data();
+        view.changed_slot = changed_slot;
+        view.two_back_slot = count_two_back ? two_back_slot : -1;
+      }
 
       // Frontier construction: vertices whose spoken label changed last
       // iteration are the change sources; their neighbors must recompute,
@@ -229,12 +301,21 @@ class GlpEngine : public Engine {
           changed_edges += static_cast<uint64_t>(g.degree(v));
           for (graph::VertexId u : g.neighbors(v)) affected[u] = 1;
         }
+        // Unaffected vertices repeat their last chosen label, which is
+        // their current one; it differs from two commits back exactly where
+        // the last commit changed it. Affected vertices keep the overwritten
+        // Lnext value for the kernels' own count.
         affected_count = 0;
-        for (graph::VertexId v = 0; v < n; ++v) affected_count += affected[v];
+        uint32_t carried_two_back = 0;
+        std::vector<graph::Label>& next = variant.next_labels();
+        for (graph::VertexId v = 0; v < n; ++v) {
+          affected_count += affected[v];
+          if (affected[v]) continue;
+          next[v] = last_chosen[v];
+          carried_two_back += spoken[v] != prev_spoken[v];
+        }
+        if (count_two_back) counters_[two_back_slot] += carried_two_back;
         prev_spoken = spoken;
-        // Unaffected vertices repeat their last chosen label.
-        std::copy(last_chosen.begin(), last_chosen.end(),
-                  variant.next_labels().begin());
       }
       affected_counts_.push_back(affected_count);
 
@@ -247,12 +328,30 @@ class GlpEngine : public Engine {
         double gpu_seconds = 0;
         const uint64_t pv = part.vertices;
 
+        // Launches the next phase carries: one each on the per-iteration
+        // path. A persistent run launches with its first phase, and every
+        // later phase first waits at a grid barrier; at the one opening an
+        // iteration, under stop_when_stable, the blocks read the counters.
+        bool opens_iteration = true;
+        auto next_phase = [&]() -> uint64_t {
+          const bool reads_counters =
+              std::exchange(opens_iteration, false) && config.stop_when_stable;
+          if (!persistent) return 1;
+          if (!std::exchange(launched, true)) return 1;
+          gpu_seconds +=
+              GridBarrier(&acc, gpu, reads_counters ? grid_blocks : 0);
+          return 0;
+        };
+        auto run_phase = [&](sim::KernelStats s, prof::Phase p) {
+          s.kernel_launches = next_phase();
+          gpu_seconds += acc.AddLaunchConcurrent(s, p, gpu);
+        };
+
         // PickLabel kernel (per-vertex-state variants only).
         if (variant.needs_pick_kernel()) {
-          gpu_seconds += acc.AddLaunchConcurrent(
-              MapKernelStats(pv, pv * variant.memory_bytes_per_vertex(),
-                             pv * 4),
-              prof::Phase::kPick, gpu);
+          run_phase(MapKernelStats(pv, pv * variant.memory_bytes_per_vertex(),
+                                   pv * 4),
+                    prof::Phase::kPick);
         }
 
         // Frontier filtering of this partition's bins (device cost: compare
@@ -286,6 +385,7 @@ class GlpEngine : public Engine {
           frontier_stats +=
               MapKernelStats(edge_share, edge_share * 4, affected_share);
           frontier_stats += MapKernelStats(pv, pv * 4, pv * 4);  // carry copy
+          if (count_two_back) frontier_stats += CountEpilogueStats(pv);
           if (use_warp_pack) {
             filtered_plan = BuildLowDegreePlan(g, filtered.low);
             plan_now = &filtered_plan;
@@ -297,17 +397,17 @@ class GlpEngine : public Engine {
             frontier_stats += MapKernelStats(flow_edges, flow_edges * 8,
                                              flow_edges * 4);
           }
-          frontier_stats.kernel_launches = 1;
-          gpu_seconds += acc.AddLaunchConcurrent(frontier_stats,
-                                                 prof::Phase::kFrontier, gpu);
+          run_phase(frontier_stats, prof::Phase::kFrontier);
         }
 
         // LabelPropagation kernels by mode. The per-bin kernels are
         // independent and launch on concurrent streams, so the whole phase
         // pays one launch overhead and fills the device together. When
         // profiling, each bin's stats are kept apart so the fused priced
-        // time can be attributed per bin (pricing itself is unchanged).
+        // time can be attributed per bin (pricing itself is unchanged); the
+        // kernels' commit counting is attributed to the commit.
         sim::KernelStats phase;
+        sim::KernelStats commit;
         std::vector<BinPart> bin_parts;
         auto add_part = [&](prof::Phase p, const sim::KernelStats& s) {
           phase += s;
@@ -319,16 +419,18 @@ class GlpEngine : public Engine {
                    MapKernelStats(0, 0, part.arena.bytes()));  // memset
           add_part(prof::Phase::kCompute,
                    RunGlobalHtKernel(device_, pool, view, part.all_vertices,
-                                     &part.arena,
-                                     options_.threads_per_block));
+                                     &part.arena, options_.threads_per_block,
+                                     &commit));
         } else {
           if (use_warp_pack) {
             add_part(prof::Phase::kLowBin,
                      RunLowDegreeWarpKernel(device_, pool, view, *plan_now,
-                                            options_.threads_per_block));
+                                            options_.threads_per_block,
+                                            &commit));
             // Isolated low-bin vertices: trivial map kernel on its stream
             // that re-commits the current label — an isolated vertex has no
-            // neighbors and must keep its label across iterations.
+            // neighbors and must keep its label across iterations, so it
+            // adds nothing to either count.
             if (!plan_now->isolated.empty()) {
               for (graph::VertexId v : plan_now->isolated) {
                 variant.next_labels()[v] = variant.labels()[v];
@@ -342,44 +444,54 @@ class GlpEngine : public Engine {
             add_part(prof::Phase::kLowBin,
                      RunWarpPerVertexSmemKernel(
                          device_, pool, view, bins_now->low,
-                         part.low_ht_capacity, options_.threads_per_block));
+                         part.low_ht_capacity, options_.threads_per_block,
+                         &commit));
           }
           if (!bins_now->mid.empty()) {
             add_part(prof::Phase::kMidBin,
                      RunWarpPerVertexSmemKernel(
                          device_, pool, view, bins_now->mid,
-                         part.mid_ht_capacity, options_.threads_per_block));
+                         part.mid_ht_capacity, options_.threads_per_block,
+                         &commit));
           }
           if (!bins_now->high.empty()) {
             add_part(prof::Phase::kHighBin,
                      RunHighDegreeBlockKernel(device_, pool, view,
                                               bins_now->high, options_,
-                                              &fallbacks));
+                                              &fallbacks, &commit));
           }
         }
-        phase.kernel_launches = 1;
+        if (view.counters != nullptr) add_part(prof::Phase::kCommit, commit);
+        // The phase's launch, if it has one, is the only launch among its
+        // parts; the profiler books it on the first.
+        const uint64_t launches = next_phase();
+        phase.kernel_launches = launches;
+        for (BinPart& bp : bin_parts) bp.s.kernel_launches = 0;
+        if (!bin_parts.empty()) bin_parts.front().s.kernel_launches = launches;
         const double phase_seconds = acc.AddLaunchConcurrent(phase);
         gpu_seconds += phase_seconds;
         if (profiler != nullptr) {
           AttributeFusedPhase(profiler, gpu, bin_parts, phase, phase_seconds);
         }
 
-        // UpdateVertex / commit kernels over the partition.
-        gpu_seconds += acc.AddLaunchConcurrent(
-            MapKernelStats(pv, 8 * pv, 4),  // changed-count + swap
-            prof::Phase::kCommit, gpu);
+        // UpdateVertex: auxiliary kernels over the partition.
         if (variant.needs_pick_kernel()) {
+          // Memory merge over the label slots, counting SLP's changes.
           const uint64_t mem = pv * variant.memory_bytes_per_vertex();
-          gpu_seconds += acc.AddLaunchConcurrent(
-              MapKernelStats(pv, pv * 4 + mem, mem),  // memory merge
-              prof::Phase::kCommit, gpu);
+          sim::KernelStats merge = MapKernelStats(pv, mem, mem);
+          if constexpr (kCountsInMerge) {
+            merge += RunChangeCountKernel(
+                device_, pool, static_cast<int64_t>(pv),
+                part.members.empty() ? nullptr : part.members.data(),
+                variant.next_labels().data(), variant.prev_choices().data(),
+                counters_.data(), changed_slot, options_.threads_per_block);
+          }
+          run_phase(merge, prof::Phase::kCommit);
         }
         if constexpr (Variant::kNeedsLabelAux) {
           // Volumes rebuilt over the full label array (replicated per GPU).
-          gpu_seconds += acc.AddLaunchConcurrent(MapKernelStats(0, 0, nu * 4),
-                                                 prof::Phase::kCommit, gpu);
-          gpu_seconds += acc.AddLaunchConcurrent(HistogramKernelStats(nu),
-                                                 prof::Phase::kCommit, gpu);
+          run_phase(MapKernelStats(0, 0, nu * 4), prof::Phase::kCommit);
+          run_phase(HistogramKernelStats(nu), prof::Phase::kCommit);
         }
         max_gpu_seconds = std::max(max_gpu_seconds, gpu_seconds);
       }
@@ -389,7 +501,17 @@ class GlpEngine : public Engine {
         std::copy(variant.next_labels().begin(), variant.next_labels().end(),
                   last_chosen.begin());
       }
-      const int changed = variant.EndIteration(iter);
+      variant.EndIteration(iter);
+      const uint32_t changed = counters_[changed_slot];
+      // A period-2 cycle: nothing differs from two commits back, at an even
+      // commit count (StabilityTracker).
+      const bool cycled =
+          count_two_back && iter % 2 == 1 && counters_[two_back_slot] == 0;
+      const bool stop = config.stop_when_stable && (changed == 0 || cycled);
+      if (stop && persistent && iter + 1 < config.max_iterations) {
+        // The blocks read the final counters at one more barrier, then exit.
+        acc.AddSeconds(GridBarrier(&acc, 0, grid_blocks));
+      }
 
       // --- Price the iteration ---
       double iter_s = acc.TakeSeconds();
@@ -432,15 +554,10 @@ class GlpEngine : public Engine {
       }
 
       if (profiler != nullptr) profiler->EndIteration(iter_s);
-      recorder.RecordIteration(static_cast<uint64_t>(changed), affected_count,
-                               iter_s);
+      recorder.RecordIteration(changed, affected_count, iter_s);
       result.iteration_seconds.push_back(iter_s);
       ++result.iterations;
-      if (config.stop_when_stable &&
-          (changed == 0 ||
-           (track_cycles && stability.Cycled(variant.labels())))) {
-        break;
-      }
+      if (stop) break;
     }
 
     fallback_count_ = fallbacks.load();
@@ -462,6 +579,18 @@ class GlpEngine : public Engine {
     prof::Phase p;
     sim::KernelStats s;
   };
+
+  /// Prices one grid barrier of a persistent launch on `gpu`, after which
+  /// `readers` resident blocks each read the iteration's counter pair (one
+  /// sector) to decide whether to run on.
+  double GridBarrier(GpuRunAccumulator* acc, int gpu, int64_t readers) const {
+    sim::KernelStats s;
+    s.grid_syncs = 1;
+    s.global_transactions = static_cast<uint64_t>(readers);
+    s.global_bytes_requested =
+        static_cast<uint64_t>(readers) * 2 * sizeof(uint32_t);
+    return acc->AddLaunchConcurrent(s, prof::Phase::kGridSync, gpu);
+  }
 
   /// Splits the fused (single-launch) LabelPropagation phase's priced time
   /// across its per-bin contributions, proportional to each bin's standalone
@@ -499,6 +628,8 @@ class GlpEngine : public Engine {
   uint64_t fallback_count_ = 0;
   double plan_occupancy_ = 1.0;
   std::vector<uint64_t> affected_counts_;
+  /// Device change counters of the last run (see last_changed()).
+  std::vector<uint32_t> counters_;
 };
 
 }  // namespace glp::lp

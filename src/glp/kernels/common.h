@@ -13,6 +13,7 @@
 #include "graph/types.h"
 #include "sim/block.h"
 #include "sim/lane.h"
+#include "sim/launch.h"
 #include "sim/shared_memory.h"
 #include "sim/warp.h"
 #include "util/hash.h"
@@ -31,6 +32,15 @@ struct DeviceView {
   graph::Label* next = nullptr;
   const float* aux = nullptr;  ///< per-label auxiliary array (LLP volumes)
   const Variant* variant = nullptr;
+  /// Device change counters the kernels' commit adds to (CommitLabels);
+  /// null when the kernels do not count.
+  uint32_t* counters = nullptr;
+  /// counters[changed_slot] += vertices whose committed label differs from
+  /// their own label.
+  int64_t changed_slot = 0;
+  /// counters[two_back_slot] += vertices whose committed label differs from
+  /// the Lnext value it overwrites; < 0 skips this count.
+  int64_t two_back_slot = -1;
 
   static DeviceView Of(const graph::Graph& g, Variant& variant) {
     DeviceView view;
@@ -113,6 +123,107 @@ inline void ApplyEdgeWeightsContig(sim::Warp& w,
   const sim::LaneArray<float> ew = w.GatherContig(view.edge_weights, base);
   sim::ForEachLane(w.active(), [&](int l) { (*wgt)[l] *= ew[l]; });
   w.CountInstr();
+}
+
+/// Warp-aggregated count: __ballot_sync over `pred`, __popc, and one lane
+/// atomically adds the popcount to counters[slot] (skipped when it is 0).
+inline void WarpAggregatedCount(sim::Warp& w, uint32_t* counters, int64_t slot,
+                                const sim::LaneArray<int>& pred) {
+  const sim::LaneMask hits = w.BallotSync(pred);
+  w.stats()->intrinsic_ops += 1;  // __popc
+  w.CountInstr();
+  if (hits == 0) return;
+  const sim::LaneMask entry = w.active();
+  w.SetActive(sim::LaneBit(sim::FirstLane(entry)));
+  const sim::LaneArray<int64_t> idx(slot);
+  const sim::LaneArray<uint32_t> add(static_cast<uint32_t>(sim::Popc(hits)));
+  w.AtomicAddGlobal(counters, idx, add);
+  w.SetActive(entry);
+}
+
+/// \brief Commit epilogue of the LabelPropagation kernels: lane l of `w`'s
+/// active set writes chosen[l] (kInvalidLabel: no neighbors, keep the
+/// current label) to Lnext[vid[l]].
+///
+/// When the view carries counters, the epilogue also counts what the commit
+/// changes, charged to `count_stats`: it gathers each vertex's own label,
+/// compares, ballots, popcs and issues one warp-aggregated atomicAdd. With
+/// a two-back slot it does the same against the Lnext value it overwrites;
+/// under ping-pong buffering that is the labeling two commits back, so the
+/// count is the device half of StabilityTracker.
+template <typename Variant>
+void CommitLabels(sim::Warp& w, sim::KernelStats* count_stats,
+                  const DeviceView<Variant>& view,
+                  const sim::LaneArray<int64_t>& vid,
+                  const sim::LaneArray<graph::Label>& chosen) {
+  if (view.counters == nullptr) {
+    w.Scatter(view.next, vid, chosen);
+    return;
+  }
+  const sim::LaneMask lanes = w.active();
+  sim::Warp cw(w.warp_id(), lanes, count_stats);
+  const sim::LaneArray<graph::Label> own = cw.Gather(view.labels, vid);
+  const bool two_back = view.two_back_slot >= 0;
+  sim::LaneArray<graph::Label> overwritten;
+  if (two_back) overwritten = cw.Gather(view.next, vid);
+  w.Scatter(view.next, vid, chosen);
+  sim::LaneArray<int> changed, differs;
+  sim::ForEachLane(lanes, [&](int l) {
+    const graph::Label now =
+        chosen[l] == graph::kInvalidLabel ? own[l] : chosen[l];
+    changed[l] = now != own[l];
+    differs[l] = now != overwritten[l];
+  });
+  cw.CountInstr(two_back ? 2 : 1);
+  WarpAggregatedCount(cw, view.counters, view.changed_slot, changed);
+  if (two_back) {
+    WarpAggregatedCount(cw, view.counters, view.two_back_slot, differs);
+  }
+}
+
+/// Counts the vertices whose chosen label next[v] is set and differs from
+/// prev[v] into counters[slot]: a warp per 32 vertices gathers both,
+/// compares, and adds its ballot's popcount (WarpAggregatedCount). The
+/// vertices are list[0, count), or [0, count) when `list` is null.
+inline sim::KernelStats RunChangeCountKernel(
+    const sim::DeviceProps& props, glp::ThreadPool* pool, int64_t count,
+    const graph::VertexId* list, const graph::Label* next,
+    const graph::Label* prev, uint32_t* counters, int64_t slot,
+    int threads_per_block) {
+  const int warps_per_block = threads_per_block / sim::kWarpSize;
+  const int64_t per_block =
+      static_cast<int64_t>(warps_per_block) * sim::kWarpSize;
+  sim::LaunchConfig cfg;
+  cfg.threads_per_block = threads_per_block;
+  cfg.num_blocks = (count + per_block - 1) / per_block;
+  if (cfg.num_blocks == 0) return sim::KernelStats{};
+  return sim::Launch(props, cfg, pool, [=](sim::Block& blk) {
+    blk.ForEachWarp([&](sim::Warp& w) {
+      const int64_t base =
+          (blk.block_idx() * warps_per_block + w.warp_id()) * sim::kWarpSize;
+      if (base >= count) return;
+      const int lanes =
+          static_cast<int>(std::min<int64_t>(sim::kWarpSize, count - base));
+      w.SetActive(lanes >= sim::kWarpSize ? sim::kFullMask
+                                          : ((1u << lanes) - 1u));
+      sim::LaneArray<int64_t> idx(sim::kUninit);
+      if (list != nullptr) {
+        const sim::LaneArray<graph::VertexId> v = w.GatherContig(list, base);
+        sim::ForEachLane(w.active(), [&](int l) { idx[l] = v[l]; });
+      } else {
+        sim::ForEachLane(w.active(), [&](int l) { idx[l] = base + l; });
+        w.CountInstr();
+      }
+      const sim::LaneArray<graph::Label> now = w.Gather(next, idx);
+      const sim::LaneArray<graph::Label> before = w.Gather(prev, idx);
+      sim::LaneArray<int> pred;
+      sim::ForEachLane(w.active(), [&](int l) {
+        pred[l] = now[l] != graph::kInvalidLabel && now[l] != before[l];
+      });
+      w.CountInstr(2);
+      WarpAggregatedCount(w, counters, slot, pred);
+    });
+  });
 }
 
 /// Linear-probe successor of `slot` in a table of `capacity` slots: a

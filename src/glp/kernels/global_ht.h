@@ -57,13 +57,16 @@ struct GlobalHtArena {
 
 /// Runs one LabelPropagation pass over `vertices`, one warp per vertex,
 /// counting through the global arena. The arena must be Reset() beforehand.
+/// The commit's change count (CommitLabels) is charged to `commit_stats`
+/// when set.
 template <typename Variant>
 sim::KernelStats RunGlobalHtKernel(const sim::DeviceProps& props,
                                    glp::ThreadPool* pool,
                                    const DeviceView<Variant>& view,
                                    const std::vector<graph::VertexId>& vertices,
                                    GlobalHtArena* arena,
-                                   int threads_per_block) {
+                                   int threads_per_block,
+                                   sim::KernelStats* commit_stats = nullptr) {
   const int warps_per_block = threads_per_block / sim::kWarpSize;
   const int64_t num_vertices = static_cast<int64_t>(vertices.size());
   if (num_vertices == 0) return sim::KernelStats{};
@@ -142,10 +145,10 @@ sim::KernelStats RunGlobalHtKernel(const sim::DeviceProps& props,
       sim::LaneArray<graph::Label> val(best.label);
       idx[0] = v;
       w.SetActive(sim::LaneBit(0));
-      w.Scatter(view.next, idx, val);
+      CommitLabels(w, blk.epilogue_stats(), view, idx, val);
       w.SetActive(sim::kFullMask);
     });
-  });
+  }, commit_stats);
 }
 
 }  // namespace glp::lp

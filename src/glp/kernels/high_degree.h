@@ -25,16 +25,26 @@ namespace glp::lp {
 /// Per-row CMS seeds are fixed so results are reproducible.
 inline constexpr uint64_t kCmsSeedBase = 0xc3a5c85c97cb3127ULL;
 
+/// Shared memory one block of the kernel below allocates: the HT's keys and
+/// counts plus the d x w CMS.
+inline int64_t HighDegreeSmemBytes(const GlpOptions& opts) {
+  return static_cast<int64_t>(opts.ht_capacity) *
+             (sizeof(graph::Label) + sizeof(float)) +
+         static_cast<int64_t>(opts.cms_depth) * opts.cms_width * sizeof(float);
+}
+
 /// Runs one LabelPropagation pass over `vertices`, one block per vertex,
 /// using the CMS+HT shared-memory strategy. `fallback_count`, if non-null,
 /// accumulates how many vertices needed the global-memory path (the
-/// quantity Theorem 1 bounds).
+/// quantity Theorem 1 bounds). The commit's change count (CommitLabels) is
+/// charged to `commit_stats` when set.
 template <typename Variant>
 sim::KernelStats RunHighDegreeBlockKernel(
     const sim::DeviceProps& props, glp::ThreadPool* pool,
     const DeviceView<Variant>& view,
     const std::vector<graph::VertexId>& vertices, const GlpOptions& opts,
-    std::atomic<uint64_t>* fallback_count = nullptr) {
+    std::atomic<uint64_t>* fallback_count = nullptr,
+    sim::KernelStats* commit_stats = nullptr) {
   const int64_t num_vertices = static_cast<int64_t>(vertices.size());
   if (num_vertices == 0) return sim::KernelStats{};
   sim::LaunchConfig cfg;
@@ -231,8 +241,8 @@ sim::KernelStats RunHighDegreeBlockKernel(
     sim::LaneArray<int64_t> idx(0);
     sim::LaneArray<graph::Label> val(winner.label);
     idx[0] = v;
-    leader.Scatter(view.next, idx, val);
-  });
+    CommitLabels(leader, blk.epilogue_stats(), view, idx, val);
+  }, commit_stats);
 }
 
 }  // namespace glp::lp

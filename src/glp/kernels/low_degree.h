@@ -87,13 +87,17 @@ inline LowDegreePlan BuildLowDegreePlan(
   return plan;
 }
 
-/// Runs one LabelPropagation pass over the packed low-degree rounds.
+/// Runs one LabelPropagation pass over the packed low-degree rounds. The
+/// commit's change count (CommitLabels) is charged to `commit_stats` when
+/// set.
 template <typename Variant>
 sim::KernelStats RunLowDegreeWarpKernel(const sim::DeviceProps& props,
                                         glp::ThreadPool* pool,
                                         const DeviceView<Variant>& view,
                                         const LowDegreePlan& plan,
-                                        int threads_per_block) {
+                                        int threads_per_block,
+                                        sim::KernelStats* commit_stats =
+                                            nullptr) {
   const int warps_per_block = threads_per_block / sim::kWarpSize;
   const int64_t rounds =
       static_cast<int64_t>(plan.slot_vertex.size()) / sim::kWarpSize;
@@ -194,15 +198,15 @@ sim::KernelStats RunLowDegreeWarpKernel(const sim::DeviceProps& props,
         winner[l] = best.label;
       });
 
-      // Vertex leaders scatter Lnext (one store per vertex in the round).
+      // Vertex leaders commit Lnext (one store per vertex in the round).
       w.SetActive(vertex_leaders);
       sim::LaneArray<int64_t> out_idx(sim::kUninit);
       sim::ForEachLane(vertex_leaders,
                        [&](int l) { out_idx[l] = vid[l]; });
-      w.Scatter(view.next, out_idx, winner);
+      CommitLabels(w, blk.epilogue_stats(), view, out_idx, winner);
       w.SetActive(sim::kFullMask);
     });
-  });
+  }, commit_stats);
 }
 
 }  // namespace glp::lp

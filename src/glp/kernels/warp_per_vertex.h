@@ -16,15 +16,23 @@
 
 namespace glp::lp {
 
+/// Shared memory one block of the kernel below allocates: a key and a count
+/// per slot of each warp's table.
+inline int64_t WarpPerVertexSmemBytes(int threads_per_block, int ht_capacity) {
+  return static_cast<int64_t>(threads_per_block / sim::kWarpSize) *
+         ht_capacity * (sizeof(graph::Label) + sizeof(float));
+}
+
 /// Runs one LabelPropagation pass over `vertices`, one warp per vertex.
 /// `ht_capacity` is the per-warp table size (slots); callers size it at
-/// twice the largest degree in the bin.
+/// twice the largest degree in the bin. The commit's change count
+/// (CommitLabels) is charged to `commit_stats` when set.
 template <typename Variant>
 sim::KernelStats RunWarpPerVertexSmemKernel(
     const sim::DeviceProps& props, glp::ThreadPool* pool,
     const DeviceView<Variant>& view,
     const std::vector<graph::VertexId>& vertices, int ht_capacity,
-    int threads_per_block) {
+    int threads_per_block, sim::KernelStats* commit_stats = nullptr) {
   const int warps_per_block = threads_per_block / sim::kWarpSize;
   const int64_t num_vertices = static_cast<int64_t>(vertices.size());
   sim::LaunchConfig cfg;
@@ -56,7 +64,7 @@ sim::KernelStats RunWarpPerVertexSmemKernel(
         sim::LaneArray<graph::Label> val(graph::kInvalidLabel);
         idx[0] = v;
         w.SetActive(sim::LaneBit(0));
-        w.Scatter(view.next, idx, val);
+        CommitLabels(w, blk.epilogue_stats(), view, idx, val);
         w.SetActive(sim::kFullMask);
         return;
       }
@@ -123,10 +131,10 @@ sim::KernelStats RunWarpPerVertexSmemKernel(
       sim::LaneArray<graph::Label> val(best.label);
       idx[0] = v;
       w.SetActive(sim::LaneBit(0));
-      w.Scatter(view.next, idx, val);
+      CommitLabels(w, blk.epilogue_stats(), view, idx, val);
       w.SetActive(sim::kFullMask);
     });
-  });
+  }, commit_stats);
 }
 
 }  // namespace glp::lp

@@ -150,6 +150,10 @@ class ConvergenceRecorder {
 /// even-commit stop of the per-component run reads off the same phase).
 /// Once in orbit, the cycle re-detects every subsequent commit, so
 /// deferring an odd-commit detection by one iteration loses nothing.
+///
+/// The GLP engine makes the same comparison on the device: its LP kernels
+/// count the labels that differ from two commits back, and it applies the
+/// even-commit rule to that count.
 class StabilityTracker {
  public:
   /// Arms the tracker with the run's initial labels.

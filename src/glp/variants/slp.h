@@ -71,6 +71,13 @@ class SlpVariant {
 
   int max_labels() const { return max_labels_; }
 
+  /// Each vertex's chosen label of the last committed iteration
+  /// (kInvalidLabel before its first); an iteration changes the vertices
+  /// whose new choice differs. GPU engines count that in the memory merge.
+  const std::vector<graph::Label>& prev_choices() const {
+    return prev_choice_;
+  }
+
   bool needs_pick_kernel() const { return true; }
   uint64_t memory_bytes_per_vertex() const {
     return static_cast<uint64_t>(max_labels_) * sizeof(Slot);

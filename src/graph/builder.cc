@@ -38,6 +38,9 @@ Graph GraphBuilder::Build(bool symmetrize, bool dedupe) {
     neighbors[cursor[e.dst]++] = e.src;
     if (symmetrize) neighbors[cursor[e.src]++] = e.dst;
   }
+  // The edges are placed: the buffer goes back, emptied, for TakeEdges.
+  work.clear();
+  edges_.swap(work);
 
   if (!dedupe) {
     // Neighbor lists are left in placement order (LP never depends on it).

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/csr.h"
@@ -26,6 +27,10 @@ struct Edge {
 class GraphBuilder {
  public:
   explicit GraphBuilder(VertexId num_vertices) : num_vertices_(num_vertices) {}
+  /// Adopts `edges` as the pending edges, without copying them. Their
+  /// endpoints must be below `num_vertices`.
+  GraphBuilder(VertexId num_vertices, std::vector<Edge> edges)
+      : num_vertices_(num_vertices), edges_(std::move(edges)) {}
 
   VertexId num_vertices() const { return num_vertices_; }
   size_t num_pending_edges() const { return edges_.size(); }
@@ -42,6 +47,10 @@ class GraphBuilder {
 
   /// Builds the CSR (consumes the pending edges).
   Graph Build(bool symmetrize = true, bool dedupe = true);
+
+  /// Hands back the pending-edge buffer. After a Build it is empty but keeps
+  /// its capacity, so a caller that refills it every round allocates once.
+  std::vector<Edge> TakeEdges() { return std::move(edges_); }
 
   /// Builds a *weighted* CSR with parallel edges collapsed into multiplicity
   /// weights (consumes the pending edges). LP over the result is exactly

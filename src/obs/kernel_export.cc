@@ -36,6 +36,9 @@ void ExportKernelStats(MetricRegistry* registry, const std::string& engine,
         stats.kernel_launches);
   count("glp_sim_blocks_executed_total", "Thread blocks executed",
         stats.blocks_executed);
+  count("glp_sim_grid_syncs_total",
+        "Grid-wide barriers inside persistent simulated kernels",
+        stats.grid_syncs);
   registry
       ->GetGauge("glp_sim_lane_utilization",
                  "Fraction of lane slots doing useful work (latest run)",

@@ -22,6 +22,8 @@ const char* PhaseName(Phase p) {
       return "high-bin";
     case Phase::kCommit:
       return "commit";
+    case Phase::kGridSync:
+      return "grid-sync";
     case Phase::kAllGather:
       return "allgather";
     case Phase::kHybridSync:

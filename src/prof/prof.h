@@ -2,8 +2,9 @@
 //
 // A PhaseProfiler attributes each engine's per-iteration work to named
 // phases (pick / frontier / low-bin / mid-bin / high-bin / commit /
-// all-gather / hybrid-sync / compute) and accumulates a PhaseBreakdown:
-// launches, global-memory traffic, lane utilization, and seconds per phase.
+// grid-sync / all-gather / hybrid-sync / compute) and accumulates a
+// PhaseBreakdown: launches, global-memory traffic, lane utilization, and
+// seconds per phase.
 // GPU engines feed it priced kernel launches through GpuRunAccumulator;
 // CPU engines feed it wall-clock ScopedPhase spans. Attached to a
 // TraceRecorder (trace.h), it additionally emits one chrome://tracing
@@ -43,6 +44,7 @@ enum class Phase : int {
   kMidBin,      ///< mid-degree bin (warp-per-vertex shared HT)
   kHighBin,     ///< high-degree bin (block-per-vertex CMS+HT / global HT)
   kCommit,      ///< UpdateVertex: commit + auxiliary kernels
+  kGridSync,    ///< grid-wide barriers inside a persistent launch
   kAllGather,   ///< multi-GPU label all-gather (exposed part)
   kHybridSync,  ///< CPU-GPU hybrid label sync (exposed part)
   kCompute,     ///< un-binned propagation (G-Sort passes, kGlobal mode, CPU)

@@ -1312,6 +1312,20 @@ size_t StreamServer::FleetUniverse() const {
   return universe;
 }
 
+void StreamServer::RefreshPartOf() {
+  if (part_of_map_ != pmap_) {
+    part_of_map_ = pmap_;
+    part_of_.clear();
+  }
+  if (part_of_.size() >= universe_) return;
+  const size_t from = part_of_.size();
+  part_of_.resize(universe_);
+  for (size_t e = from; e < universe_; ++e) {
+    part_of_[e] =
+        static_cast<uint8_t>(pmap_->PartOf(static_cast<VertexId>(e)));
+  }
+}
+
 void StreamServer::ReseatTracker() {
   universe_ = FleetUniverse();
   const double last_end = next_tick_end_ - config_.tick.every_days;
@@ -1329,9 +1343,10 @@ void StreamServer::RebuildTracker(bool mark_all_dirty) {
                                 range_cursors_[k].hi());
   }
   inc_tracker_.FinishRebuild(mark_all_dirty);
-  // Full owner recompute, O(universe): owner = pmap_->PartOf(component min
-  // entity). The ascending entity scan means a root's first-seen member IS
-  // its minimum.
+  // Full owner recompute, O(universe): owner = the part of the component's
+  // min entity. The ascending entity scan means a root's first-seen member
+  // IS its minimum.
+  RefreshPartOf();
   if (owner_of_.size() < universe_) owner_of_.resize(universe_);
   comp_min_scratch_.assign(universe_, graph::kInvalidVertex);
   for (size_t e = 0; e < universe_; ++e) {
@@ -1340,7 +1355,7 @@ void StreamServer::RebuildTracker(bool mark_all_dirty) {
     if (comp_min_scratch_[r] == graph::kInvalidVertex) {
       comp_min_scratch_[r] = static_cast<VertexId>(e);
     }
-    owner_of_[e] = static_cast<uint8_t>(pmap_->PartOf(comp_min_scratch_[r]));
+    owner_of_[e] = part_of_[comp_min_scratch_[r]];
   }
 }
 
@@ -1382,12 +1397,13 @@ bool StreamServer::UpdateIncrementalTracker(double start_time,
     inc_tracker_.FinishTick();
     // Re-own dirty components only; a clean component's min member — the
     // entity that fixed its owner — is unchanged by definition.
+    RefreshPartOf();
     if (owner_of_.size() < universe_) owner_of_.resize(universe_);
     for (const VertexId r : inc_tracker_.dirty_roots()) {
       const std::vector<VertexId>& mem = inc_tracker_.MembersOf(r);
       VertexId mn = mem.front();
       for (const VertexId m : mem) mn = std::min(mn, m);
-      const auto owner = static_cast<uint8_t>(pmap_->PartOf(mn));
+      const uint8_t owner = part_of_[mn];
       for (const VertexId m : mem) owner_of_[m] = owner;
     }
   } else {
@@ -1412,6 +1428,7 @@ size_t StreamServer::InternWindowEdges() {
     ids.epoch = 1;
   }
   const uint32_t epoch = ids.epoch;
+  RefreshPartOf();
   for (OwnerWork& ow : owners_) {
     ow.edges.clear();
     ow.snap.local_to_global.clear();
@@ -1448,11 +1465,10 @@ size_t StreamServer::InternWindowEdges() {
     const TimedEdge* it;
     const TimedEdge* end;
     int shard;
-    void SkipMirrors(const pipeline::PartitionMap& map) {
-      while (it != end && map.PartOf(it->src) != shard) ++it;
+    void SkipMirrors(const std::vector<uint8_t>& part_of) {
+      while (it != end && part_of[it->src] != shard) ++it;
     }
   };
-  const pipeline::PartitionMap& map = *pmap_;
   std::vector<Run> heap;  // runs with an owned edge left, min head on top
   const auto after = [](const Run& a, const Run& b) {
     return graph::CanonicalEdgeLess(*b.it, *a.it);
@@ -1460,7 +1476,7 @@ size_t StreamServer::InternWindowEdges() {
   for (int k = 0; k < num_shards_; ++k) {
     const TimedEdge* base = windows_[k].edges().data();
     Run r{base + range_cursors_[k].lo(), base + range_cursors_[k].hi(), k};
-    r.SkipMirrors(map);
+    r.SkipMirrors(part_of_);
     if (r.it != r.end) heap.push_back(r);
   }
   std::make_heap(heap.begin(), heap.end(), after);
@@ -1470,7 +1486,7 @@ size_t StreamServer::InternWindowEdges() {
     do {
       take(*r.it);
       ++r.it;
-      r.SkipMirrors(map);
+      r.SkipMirrors(part_of_);
     } while (r.it != r.end &&
              (heap.size() == 1 || graph::CanonicalEdgeLess(*r.it, *heap[0].it)));
     if (r.it != r.end) {
@@ -1508,15 +1524,15 @@ void StreamServer::RunOwnerDetection(int o, double window_start,
   {
     obs::ScopedSpan snapshot_span(collect ? &span_sink_ : nullptr,
                                   owner_span.context(), "serve.snapshot");
+    // The builder adopts the interned edges and hands the buffer back, so
+    // the window's edges are held once and the owner keeps its capacity.
     graph::GraphBuilder builder(
-        static_cast<VertexId>(ow.snap.local_to_global.size()));
-    builder.Reserve(ow.edges.size());
-    for (const graph::Edge& e : ow.edges) {
-      builder.AddEdgeUnchecked(e.src, e.dst);
-    }
+        static_cast<VertexId>(ow.snap.local_to_global.size()),
+        std::move(ow.edges));
     ow.snap.graph = config_.detect.collapse_window_graphs
                         ? builder.BuildCollapsed(/*symmetrize=*/true)
                         : builder.Build(/*symmetrize=*/true, /*dedupe=*/false);
+    ow.edges = builder.TakeEdges();
   }
 
   // An anchor entity's owner-local id, when the anchor is in this owner's

@@ -258,6 +258,9 @@ class StreamServer : public Server {
   void ReseatTracker();
   /// Max entity id + 1 across the shard windows.
   size_t FleetUniverse() const;
+  /// Brings part_of_ up to the live map and universe_: recomputed after
+  /// the map changed (restore, resize), extended as the universe grows.
+  void RefreshPartOf();
   bool ValidBatch(const std::vector<graph::TimedEdge>& batch) const;
   /// The admission ladder behind Ingest and TryIngest: validate, route,
   /// then enqueue — waiting on a full queue when `block` is set, shedding
@@ -353,6 +356,11 @@ class StreamServer : public Server {
   /// owner_of_[entity], persistent across ticks for all in-window entities
   /// (refreshed for dirty components each tick).
   std::vector<uint8_t> owner_of_;
+  /// part_of_[entity] = part_of_map_->PartOf(entity), for every entity
+  /// below universe_ once RefreshPartOf() ran: one byte read where the
+  /// per-edge paths would otherwise search the map's override table.
+  std::vector<uint8_t> part_of_;
+  std::shared_ptr<const pipeline::PartitionMap> part_of_map_;
 
   // Connectivity (DESIGN.md §4.10): one fleet-wide persistent union-find
   // fed by per-shard window deltas, in every tick mode. Incremental mode

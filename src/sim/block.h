@@ -23,13 +23,15 @@ namespace glp::sim {
 class Block {
  public:
   /// `shared` is an arena owned by the runner and reused across blocks; the
-  /// block Reset()s it on construction.
+  /// block Reset()s it on construction. `epilogue` receives the charges of
+  /// a fused epilogue the caller attributes apart (null: `stats`).
   Block(int64_t block_idx, int num_threads, SharedMemory* shared,
-        KernelStats* stats)
+        KernelStats* stats, KernelStats* epilogue = nullptr)
       : block_idx_(block_idx),
         num_threads_(num_threads),
         shared_(shared),
-        stats_(stats) {
+        stats_(stats),
+        epilogue_(epilogue != nullptr ? epilogue : stats) {
     shared_->Reset();
   }
 
@@ -38,6 +40,9 @@ class Block {
   int num_warps() const { return (num_threads_ + kWarpSize - 1) / kWarpSize; }
   SharedMemory& shared() { return *shared_; }
   KernelStats* stats() { return stats_; }
+  /// Where the block's fused epilogue (e.g. the LP kernels' change count)
+  /// charges its work; the main stats unless the launch split it off.
+  KernelStats* epilogue_stats() { return epilogue_; }
 
   /// Runs `fn(Warp&)` once per warp of the block, in warp order. The active
   /// mask of the last warp excludes thread slots beyond num_threads().
@@ -81,6 +86,7 @@ class Block {
   int num_threads_;
   SharedMemory* shared_;
   KernelStats* stats_;
+  KernelStats* epilogue_;
 };
 
 }  // namespace glp::sim

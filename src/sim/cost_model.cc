@@ -40,7 +40,8 @@ KernelTime CostModel::KernelCost(const KernelStats& s) const {
 
   t.launch_s =
       static_cast<double>(s.kernel_launches) * props_.kernel_launch_overhead_s;
-  t.total_s = std::max(t.mem_s, t.compute_s) + t.launch_s;
+  t.sync_s = static_cast<double>(s.grid_syncs) * props_.grid_sync_s;
+  t.total_s = std::max(t.mem_s, t.compute_s) + t.launch_s + t.sync_s;
   return t;
 }
 

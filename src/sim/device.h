@@ -29,6 +29,8 @@ struct DeviceProps {
 
   /// Shared memory available to one thread block, in bytes.
   int shared_mem_per_block = 96 * 1024;
+  /// Shared memory of one SM, split among its resident blocks.
+  int shared_mem_per_sm = 96 * 1024;
   /// Shared-memory banks (4-byte wide).
   int shared_banks = 32;
 
@@ -41,6 +43,10 @@ struct DeviceProps {
 
   /// Fixed host-side overhead per kernel launch, seconds.
   double kernel_launch_overhead_s = 5e-6;
+  /// Latency of one grid-wide barrier (cooperative-groups grid.sync()) in a
+  /// persistent kernel, seconds: the V100 measurement of Zhang et al.,
+  /// IPDPS 2020 (DESIGN.md §1).
+  double grid_sync_s = 2e-6;
 
   /// Host<->device interconnect bandwidth in GB/s (PCIe 3.0 x16 effective).
   double pcie_bandwidth_gbps = 12.0;

@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <mutex>
 
@@ -28,12 +29,28 @@ struct LaunchConfig {
   int threads_per_block = 256;
 };
 
+/// Thread blocks that are co-resident on the whole device when each has
+/// `threads_per_block` threads and `shared_bytes` of shared memory: the grid
+/// of a persistent kernel, whose blocks all reach every grid barrier. Any
+/// larger piece of work runs as virtual blocks striding over this grid.
+inline int64_t ResidentGridBlocks(const DeviceProps& props,
+                                  int threads_per_block, int64_t shared_bytes) {
+  int64_t per_sm = static_cast<int64_t>(props.resident_warps_per_sm) *
+                   kWarpSize / std::max(1, threads_per_block);
+  if (shared_bytes > 0) {
+    per_sm = std::min<int64_t>(per_sm, props.shared_mem_per_sm / shared_bytes);
+  }
+  return std::max<int64_t>(1, per_sm) * props.num_sms;
+}
+
 /// Executes `kernel(Block&)` for every block in the grid and returns the
 /// accumulated stats (kernel_launches == 1). `pool == nullptr` runs on the
-/// calling thread only.
+/// calling thread only. When `epilogue` is set, what blocks charge to
+/// Block::epilogue_stats() is added there instead of to the result.
 template <typename KernelFn>
 KernelStats Launch(const DeviceProps& props, const LaunchConfig& cfg,
-                   glp::ThreadPool* pool, KernelFn&& kernel) {
+                   glp::ThreadPool* pool, KernelFn&& kernel,
+                   KernelStats* epilogue = nullptr) {
   GLP_CHECK_GT(cfg.threads_per_block, 0);
   GLP_CHECK_LE(cfg.threads_per_block, props.max_threads_per_block);
 
@@ -43,14 +60,16 @@ KernelStats Launch(const DeviceProps& props, const LaunchConfig& cfg,
   std::mutex merge_mu;
 
   auto run_range = [&](int64_t lo, int64_t hi) {
-    KernelStats local;
+    KernelStats local, local_epilogue;
     SharedMemory shared(props.shared_mem_per_block);
     for (int64_t b = lo; b < hi; ++b) {
-      Block blk(b, cfg.threads_per_block, &shared, &local);
+      Block blk(b, cfg.threads_per_block, &shared, &local,
+                epilogue != nullptr ? &local_epilogue : nullptr);
       kernel(blk);
     }
     std::lock_guard<std::mutex> lock(merge_mu);
     total += local;
+    if (epilogue != nullptr) *epilogue += local_epilogue;
   };
 
   if (pool == nullptr || cfg.num_blocks <= 1) {

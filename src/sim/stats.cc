@@ -20,6 +20,7 @@ KernelStats& KernelStats::operator+=(const KernelStats& o) {
   total_lane_cycles += o.total_lane_cycles;
   kernel_launches += o.kernel_launches;
   blocks_executed += o.blocks_executed;
+  grid_syncs += o.grid_syncs;
   return *this;
 }
 
@@ -50,7 +51,8 @@ std::string KernelStats::ToString() const {
      << "  instructions=" << instructions << " intrinsics=" << intrinsic_ops
      << " block_reduces=" << block_reduces << " syncs=" << block_syncs << "\n"
      << "  lane_utilization=" << LaneUtilization()
-     << " launches=" << kernel_launches << " blocks=" << blocks_executed << "\n"
+     << " launches=" << kernel_launches << " blocks=" << blocks_executed
+     << " grid_syncs=" << grid_syncs << "\n"
      << "}";
   return os.str();
 }

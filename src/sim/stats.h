@@ -54,8 +54,12 @@ struct KernelStats {
   // --- Launches ---
   /// Number of kernel launches folded into this accumulation.
   uint64_t kernel_launches = 0;
-  /// Number of thread blocks executed.
+  /// Number of thread blocks executed (the virtual blocks of a persistent
+  /// launch, which stride over its resident grid).
   uint64_t blocks_executed = 0;
+  /// Grid-wide barriers (cooperative-groups grid.sync()) inside persistent
+  /// launches: each stands where a launch boundary would otherwise be.
+  uint64_t grid_syncs = 0;
 
   KernelStats& operator+=(const KernelStats& o);
 

@@ -90,9 +90,11 @@ TEST(FrontierTest, LateIterationsCheaper) {
   p.inter_degree = 0.3;
   p.seed = 21;
   Graph g = graph::GeneratePlantedPartition(p);
-  // Minimal fixed overheads so kernel work dominates on this small graph.
+  // Minimal fixed overheads (launches and grid barriers) so kernel work
+  // dominates on this small graph.
   sim::DeviceProps device = sim::DeviceProps::TitanV();
   device.kernel_launch_overhead_s = 2e-8;
+  device.grid_sync_s = 2e-8;
   GlpEngine<ClassicVariant> full({}, {}, nullptr, device);
   GlpEngine<ClassicVariant> frontier({}, FrontierOpts(), nullptr, device);
   RunConfig run;

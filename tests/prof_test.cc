@@ -54,9 +54,12 @@ TEST(ProfTest, GlpPhaseSecondsSumToSimulatedSeconds) {
   EXPECT_NEAR(b.total_seconds, r.value().simulated_seconds,
               1e-9 * r.value().simulated_seconds + 1e-15);
   // The standard phases of a binned single-GPU run all appear. (Classic has
-  // no pick kernel; SLP coverage below.)
-  EXPECT_GT(b[prof::Phase::kCommit].launches, 0u);
+  // no pick kernel; SLP coverage below.) The commit is the LP kernels'
+  // change-count epilogue: priced, but no launch of its own. The run is one
+  // persistent launch whose iterations meet at grid barriers.
+  EXPECT_EQ(b[prof::Phase::kCommit].launches, 0u);
   EXPECT_GT(b[prof::Phase::kCommit].seconds, 0);
+  EXPECT_GT(b[prof::Phase::kGridSync].seconds, 0);
   EXPECT_GT(b[prof::Phase::kLowBin].seconds + b[prof::Phase::kMidBin].seconds +
                 b[prof::Phase::kHighBin].seconds,
             0);
@@ -126,7 +129,9 @@ TEST(ProfTest, FrontierRunAttributesFrontierPhase) {
   ASSERT_TRUE(r.ok());
   const prof::PhaseBreakdown& b = r.value().phase_breakdown;
   ASSERT_TRUE(b.enabled);
-  EXPECT_GT(b[prof::Phase::kFrontier].launches, 0u);
+  // Inside the single-GPU persistent launch the frontier phase is priced
+  // but launches nothing.
+  EXPECT_EQ(b[prof::Phase::kFrontier].launches, 0u);
   EXPECT_GT(b[prof::Phase::kFrontier].seconds, 0);
 }
 

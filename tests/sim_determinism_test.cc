@@ -27,8 +27,12 @@
 #include <string>
 #include <vector>
 
+#include "cpu/seq_engine.h"
 #include "glp/glp_engine.h"
 #include "glp/variants/classic.h"
+#include "glp/variants/degree_weighted.h"
+#include "glp/variants/llp.h"
+#include "glp/variants/slp.h"
 #include "gpu_baselines/ghash_engine.h"
 #include "gpu_baselines/gsort_engine.h"
 #include "graph/generators.h"
@@ -43,7 +47,7 @@ namespace {
 using graph::Graph;
 
 // Every KernelStats field appears in Fingerprint; a new field must too.
-static_assert(sizeof(sim::KernelStats) == 15 * sizeof(uint64_t),
+static_assert(sizeof(sim::KernelStats) == 16 * sizeof(uint64_t),
               "KernelStats changed: extend Fingerprint and the goldens");
 
 std::string Fingerprint(const RunResult& r) {
@@ -60,7 +64,8 @@ std::string Fingerprint(const RunResult& r) {
      << " io=" << s.intrinsic_ops << " br=" << s.block_reduces
      << " bs=" << s.block_syncs << " al=" << s.active_lane_cycles
      << " tl=" << s.total_lane_cycles << " kl=" << s.kernel_launches
-     << " be=" << s.blocks_executed << " it=" << r.iterations
+     << " be=" << s.blocks_executed << " gs=" << s.grid_syncs
+     << " it=" << r.iterations
      << " labels=" << std::hex << digest;
   return os.str();
 }
@@ -128,98 +133,101 @@ GlpOptions TightSketch() {
 }
 
 /// KernelStats of every case, recorded when accounting moved to device
-/// offsets and before any change to the simulator's speed.
+/// offsets and before any change to the simulator's speed. The GLP lines
+/// were re-recorded when the commit moved into the LP kernels and a
+/// single-GPU run became one persistent launch (kl=1, gs = iterations - 1);
+/// their labels and iteration counts did not move.
 const std::map<std::string, std::string>& Goldens() {
   static const auto* goldens = new std::map<std::string, std::string>{
       {"GlpGlobalRmat",
-       "gt=170685 gb=4085060 ga=38118 gc=87468 sa=0 sb=0 sat=0"
-       " in=74850 io=24500 br=0 bs=0"
-       " al=833970 tl=2395200 kl=10 be=640 it=5"
+       "gt=174520 gb=4064560 ga=39447 gc=87468 sa=0 sb=0 sat=0"
+       " in=96339 io=34740 br=0 bs=0"
+       " al=845539 tl=3082848 kl=1 be=640 gs=4 it=5"
        " labels=fd9aa60100e7a893"},
       {"GlpSmemRmat",
-       "gt=60165 gb=548420 ga=0 gc=0 sa=43120 sb=0 sat=123709"
-       " in=109795 io=28800 br=110 bs=165"
-       " al=1799919 tl=3513440 kl=10 be=695 it=5"
+       "gt=64000 gb=527920 ga=1329 gc=0 sa=43120 sb=0 sat=123709"
+       " in=131284 io=39040 br=110 bs=165"
+       " al=1811488 tl=4201088 kl=1 be=695 gs=4 it=5"
        " labels=fd9aa60100e7a893"},
       {"GlpSmemWarpRmat",
-       "gt=57620 gb=912320 ga=0 gc=0 sa=13920 sb=0 sat=67227"
-       " in=46947 io=16905 br=110 bs=165"
-       " al=1082207 tl=1502304 kl=10 be=240 it=5"
+       "gt=58175 gb=887680 ga=468 gc=0 sa=13920 sb=0 sat=67227"
+       " in=53135 io=19925 br=110 bs=165"
+       " al=1088775 tl=1700320 kl=1 be=240 gs=4 it=5"
        " labels=fd9aa60100e7a893"},
       {"GlpTightSketchRmat",
-       "gt=60402 gb=978848 ga=3131 gc=41 sa=12954 sb=463 sat=77734"
-       " in=47012 io=16905 br=121 bs=176"
-       " al=1064740 tl=1504384 kl=10 be=240 it=5"
+       "gt=60957 gb=954208 ga=3599 gc=41 sa=12954 sb=463 sat=77734"
+       " in=53200 io=19925 br=121 bs=176"
+       " al=1071308 tl=1702400 kl=1 be=240 gs=4 it=5"
        " labels=fd9aa60100e7a893"},
       {"GHashRmat",
        "gt=71365 gb=906820 ga=6353 gc=16381 sa=41360 sb=0 sat=101669"
        " in=110813 io=30040 br=0 bs=0"
-       " al=1792147 tl=3546016 kl=25 be=650 it=5"
+       " al=1792147 tl=3546016 kl=25 be=650 gs=0 it=5"
        " labels=fd9aa60100e7a893"},
       {"GSortRmat",
        "gt=89275 gb=1516380 ga=0 gc=0 sa=83790 sb=0 sat=0"
        " in=135721 io=26555 br=0 bs=30970"
-       " al=3163314 tl=4343072 kl=20 be=6000 it=5"
+       " al=3163314 tl=4343072 kl=20 be=6000 gs=0 it=5"
        " labels=fd9aa60100e7a893"},
       {"GlpGlobalCommunities",
-       "gt=93850 gb=2261780 ga=46692 gc=18193 sa=0 sb=0 sat=0"
-       " in=57391 io=19200 br=0 bs=0"
-       " al=554599 tl=1836512 kl=10 be=480 it=5"
+       "gt=96725 gb=2246400 ga=49981 gc=18193 sa=0 sb=0 sat=0"
+       " in=75800 io=26880 br=0 bs=0"
+       " al=565568 tl=2425600 kl=1 be=480 gs=4 it=5"
        " labels=1c27b91ae8a6c8e8"},
       {"GlpSmemCommunities",
-       "gt=32410 gb=295700 ga=0 gc=0 sa=15360 sb=0 sat=64885"
-       " in=65071 io=19200 br=0 bs=0"
-       " al=800359 tl=2082272 kl=10 be=480 it=5"
+       "gt=35285 gb=280320 ga=3289 gc=0 sa=15360 sb=0 sat=64885"
+       " in=83480 io=26880 br=0 bs=0"
+       " al=811328 tl=2671360 kl=1 be=480 gs=4 it=5"
        " labels=1c27b91ae8a6c8e8"},
       {"GlpSmemWarpCommunities",
-       "gt=23395 gb=685460 ga=0 gc=0 sa=0 sb=0 sat=0"
-       " in=17760 io=10950 br=0 bs=0"
-       " al=479139 tl=568320 kl=10 be=140 it=5"
+       "gt=23875 gb=670080 ga=1061 gc=0 sa=0 sb=0 sat=0"
+       " in=22961 io=13140 br=0 bs=0"
+       " al=487880 tl=734752 kl=1 be=140 gs=4 it=5"
        " labels=1c27b91ae8a6c8e8"},
       {"GlpTightSketchCommunities",
-       "gt=23395 gb=685460 ga=0 gc=0 sa=0 sb=0 sat=0"
-       " in=17760 io=10950 br=0 bs=0"
-       " al=479139 tl=568320 kl=10 be=140 it=5"
+       "gt=23875 gb=670080 ga=1061 gc=0 sa=0 sb=0 sat=0"
+       " in=22961 io=13140 br=0 bs=0"
+       " al=487880 tl=734752 kl=1 be=140 gs=4 it=5"
        " labels=1c27b91ae8a6c8e8"},
       {"GHashCommunities",
        "gt=32410 gb=295700 ga=0 gc=0 sa=30720 sb=0 sat=63539"
        " in=99381 io=36315 br=0 bs=0"
-       " al=1290533 tl=3180192 kl=10 be=480 it=5"
+       " al=1290533 tl=3180192 kl=10 be=480 gs=0 it=5"
        " labels=1c27b91ae8a6c8e8"},
       {"GSortCommunities",
        "gt=39855 gb=794900 ga=0 gc=0 sa=58000 sb=0 sat=0"
        " in=99565 io=23040 br=0 bs=29000"
-       " al=2193554 tl=3186080 kl=20 be=4445 it=5"
+       " al=2193554 tl=3186080 kl=20 be=4445 gs=0 it=5"
        " labels=1c27b91ae8a6c8e8"},
       {"GlpGlobalOrganicWindow",
-       "gt=176575 gb=4385900 ga=37632 gc=73336 sa=0 sb=0 sat=0"
-       " in=95655 io=34830 br=0 bs=0"
-       " al=876162 tl=3060960 kl=10 be=705 it=5"
+       "gt=180775 gb=4363440 ga=43242 gc=73336 sa=0 sb=0 sat=0"
+       " in=123345 io=46050 br=0 bs=0"
+       " al=892692 tl=3947040 kl=1 be=705 gs=4 it=5"
        " labels=d9d158175daae462"},
       {"GlpSmemOrganicWindow",
-       "gt=55295 gb=504940 ga=0 gc=0 sa=55080 sb=0 sat=110222"
-       " in=144416 io=42515 br=50 bs=75"
-       " al=2153185 tl=4621312 kl=10 be=725 it=5"
+       "gt=59495 gb=482480 ga=5610 gc=0 sa=55080 sb=0 sat=110222"
+       " in=172106 io=53735 br=50 bs=75"
+       " al=2169715 tl=5507392 kl=1 be=725 gs=4 it=5"
        " labels=d9d158175daae462"},
       {"GlpSmemWarpOrganicWindow",
-       "gt=52550 gb=886460 ga=0 gc=0 sa=13600 sb=0 sat=51137"
-       " in=49000 io=20185 br=50 bs=75"
-       " al=1045045 tl=1568000 kl=10 be=220 it=5"
+       "gt=53255 gb=864000 ga=1575 gc=0 sa=13600 sb=0 sat=51137"
+       " in=56515 io=23335 br=50 bs=75"
+       " al=1057540 tl=1808480 kl=1 be=220 gs=4 it=5"
        " labels=d9d158175daae462"},
       {"GlpTightSketchOrganicWindow",
-       "gt=52550 gb=886460 ga=0 gc=0 sa=12850 sb=0 sat=55520"
-       " in=48848 io=20185 br=50 bs=75"
-       " al=1025428 tl=1563136 kl=10 be=220 it=5"
+       "gt=53255 gb=864000 ga=1575 gc=0 sa=12850 sb=0 sat=55520"
+       " in=56363 io=23335 br=50 bs=75"
+       " al=1037923 tl=1803616 kl=1 be=220 gs=4 it=5"
        " labels=d9d158175daae462"},
       {"GHashOrganicWindow",
        "gt=61695 gb=709740 ga=3577 gc=9306 sa=54280 sb=0 sat=97478"
        " in=145799 io=43780 br=0 bs=0"
-       " al=2152995 tl=4665568 kl=25 be=705 it=5"
+       " al=2152995 tl=4665568 kl=25 be=705 gs=0 it=5"
        " labels=d9d158175daae462"},
       {"GSortOrganicWindow",
        "gt=83700 gb=1367980 ga=0 gc=0 sa=69760 sb=0 sat=0"
        " in=135952 io=36550 br=0 bs=30390"
-       " al=2676494 tl=4350464 kl=20 be=6530 it=5"
+       " al=2676494 tl=4350464 kl=20 be=6530 gs=0 it=5"
        " labels=d9d158175daae462"},
   };
   return *goldens;
@@ -305,6 +313,208 @@ INSTANTIATE_TEST_SUITE_P(Engines, SimDeterminismTest,
                          [](const ::testing::TestParamInfo<Case>& info) {
                            return info.param.name;
                          });
+
+// --- Device change counters ---
+//
+// GLP's LP kernels count the labels each commit changes, and under
+// stop_when_stable the labels that differ from two commits back, with
+// warp-aggregated atomics into one counter array that every block shares
+// (at pool=4 concurrently, which TSan watches); SLP counts in its memory
+// merge. The stop decisions are made from these counts, so they must equal
+// what the host computes on every iteration.
+
+/// Per commit, what the host computes: the variant's EndIteration return and
+/// the labels that differ from two commits back (StabilityTracker's test).
+struct HostCounts {
+  std::vector<uint32_t> changed;
+  std::vector<uint32_t> two_back;  // 0 at the first commit
+};
+HostCounts* host_counts = nullptr;  // the sink of the running HostCounted
+
+template <typename Base>
+class HostCounted : public Base {
+ public:
+  using Base::Base;
+
+  void Init(const Graph& g, const RunConfig& config) {
+    Base::Init(g, config);
+    history_.assign(1, this->labels());
+  }
+
+  int EndIteration(int iter) {
+    const int changed = Base::EndIteration(iter);
+    const std::vector<graph::Label>& now = this->labels();
+    uint32_t differs = 0;
+    if (history_.size() >= 2) {
+      const std::vector<graph::Label>& back2 = history_[history_.size() - 2];
+      for (size_t v = 0; v < now.size(); ++v) differs += now[v] != back2[v];
+    }
+    host_counts->changed.push_back(static_cast<uint32_t>(changed));
+    host_counts->two_back.push_back(differs);
+    history_.push_back(now);
+    return changed;
+  }
+
+ private:
+  std::vector<std::vector<graph::Label>> history_;
+};
+
+/// A 12x12 grid is bipartite: classic LP falls into a period-2 orbit, so
+/// stop_when_stable ends on a zero two-back count.
+Graph Grid() { return graph::GenerateGrid2d(12, 12); }
+
+template <typename V>
+void ExpectDeviceCountsMatchHost(const Graph& g, const GlpOptions& opts,
+                                 int threads, bool stable) {
+  SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                    << " stable=" << stable);
+  HostCounts host;
+  host_counts = &host;
+  ThreadPool pool(threads);
+  GlpEngine<HostCounted<V>> engine({}, opts);
+  RunConfig run;
+  run.max_iterations = 12;
+  run.stop_when_stable = stable;
+  RunContext ctx;
+  ctx.pool = &pool;
+  auto r = engine.Run(g, run, ctx);
+  host_counts = nullptr;
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const int iterations = r.value().iterations;
+  ASSERT_EQ(host.changed.size(), static_cast<size_t>(iterations));
+  const bool tracks_cycles = stable && !V().needs_pick_kernel();
+  for (int it = 0; it < iterations; ++it) {
+    EXPECT_EQ(engine.last_changed(it), host.changed[it]) << "iteration " << it;
+    EXPECT_EQ(engine.last_two_back(it),
+              tracks_cycles && it > 0 ? host.two_back[it] : 0u)
+        << "iteration " << it;
+  }
+  // Stopping on device counts stops where the host tracker does.
+  auto ref = cpu::SeqEngine<V>().Run(g, run);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(r.value().labels, ref.value().labels);
+  EXPECT_EQ(iterations, ref.value().iterations);
+}
+
+template <typename V>
+void ExpectDeviceCountsMatchHostEverywhere() {
+  for (const auto& graph_fn : {SmallRmat, Grid}) {
+    const Graph g = graph_fn();
+    for (int threads : {1, 4}) {
+      for (bool stable : {true, false}) {
+        ExpectDeviceCountsMatchHost<V>(g, GlpOptions{}, threads, stable);
+      }
+    }
+  }
+}
+
+TEST(DeviceCountersTest, ClassicMatchesHost) {
+  ExpectDeviceCountsMatchHostEverywhere<ClassicVariant>();
+}
+
+TEST(DeviceCountersTest, DegreeWeightedMatchesHost) {
+  ExpectDeviceCountsMatchHostEverywhere<DegreeWeightedVariant>();
+}
+
+TEST(DeviceCountersTest, LlpMatchesHost) {
+  ExpectDeviceCountsMatchHostEverywhere<LlpVariant>();
+}
+
+TEST(DeviceCountersTest, SlpMatchesHost) {
+  ExpectDeviceCountsMatchHostEverywhere<SlpVariant>();
+}
+
+TEST(DeviceCountersTest, EveryKernelAndTheFrontierCount) {
+  GlpOptions frontier;
+  frontier.use_frontier = true;
+  for (const GlpOptions& opts :
+       {Mode(GlpOptions::Mode::kGlobal), Mode(GlpOptions::Mode::kSmem),
+        TightSketch(), frontier}) {
+    for (const auto& graph_fn : {SmallRmat, Grid, SmallCommunities}) {
+      ExpectDeviceCountsMatchHost<ClassicVariant>(graph_fn(), opts,
+                                                  /*threads=*/4,
+                                                  /*stable=*/true);
+    }
+  }
+}
+
+TEST(DeviceCountersTest, GridStopsOnTheTwoBackCount) {
+  GlpEngine<ClassicVariant> engine;
+  RunConfig run;
+  run.max_iterations = 40;
+  run.stop_when_stable = true;
+  auto r = engine.Run(Grid(), run);
+  ASSERT_TRUE(r.ok());
+  const int last = r.value().iterations - 1;
+  ASSERT_LT(r.value().iterations, run.max_iterations);
+  // Stopped on a cycle, not on a fixed point.
+  EXPECT_GT(engine.last_changed(last), 0u);
+  EXPECT_EQ(engine.last_two_back(last), 0u);
+}
+
+// --- Launch structure ---
+
+template <typename V>
+RunResult RunFor(const Graph& g, const GlpOptions& opts, int iterations,
+                 bool stable = false) {
+  GlpEngine<V> engine({}, opts);
+  RunConfig run;
+  run.max_iterations = iterations;
+  run.stop_when_stable = stable;
+  auto r = engine.Run(g, run);
+  GLP_CHECK(r.ok()) << r.status().ToString();
+  return std::move(r).value();
+}
+
+TEST(PersistentLaunchTest, SingleGpuRunLaunchesOnce) {
+  const Graph g = SmallRmat();
+  // One phase per iteration: a barrier between consecutive iterations.
+  const RunResult classic = RunFor<ClassicVariant>(g, {}, 5);
+  EXPECT_EQ(classic.stats.kernel_launches, 1u);
+  EXPECT_EQ(classic.stats.grid_syncs, 4u);
+  // SLP: pick, LP, memory merge. LLP: LP, volume memset, histogram.
+  const RunResult slp = RunFor<SlpVariant>(g, {}, 5);
+  EXPECT_EQ(slp.stats.kernel_launches, 1u);
+  EXPECT_EQ(slp.stats.grid_syncs, 3u * 5 - 1);
+  const RunResult llp = RunFor<LlpVariant>(g, {}, 5);
+  EXPECT_EQ(llp.stats.kernel_launches, 1u);
+  EXPECT_EQ(llp.stats.grid_syncs, 3u * 5 - 1);
+  // Frontier: a frontier phase before LP from the second iteration on.
+  GlpOptions frontier;
+  frontier.use_frontier = true;
+  const RunResult fr = RunFor<ClassicVariant>(g, frontier, 5);
+  EXPECT_EQ(fr.stats.kernel_launches, 1u);
+  EXPECT_EQ(fr.stats.grid_syncs, 1u + 2 * 4 - 1);
+  // An early stop costs one more barrier: the blocks read the final
+  // counters before they exit.
+  const RunResult stable = RunFor<ClassicVariant>(Grid(), {}, 40, true);
+  ASSERT_LT(stable.iterations, 40);
+  EXPECT_EQ(stable.stats.kernel_launches, 1u);
+  EXPECT_EQ(stable.stats.grid_syncs, static_cast<uint64_t>(stable.iterations));
+}
+
+TEST(PersistentLaunchTest, MultiGpuAndHybridLaunchEveryIteration) {
+  const Graph g = SmallRmat();
+  const RunResult one = RunFor<ClassicVariant>(g, {}, 5);
+  GlpOptions two_gpus;
+  two_gpus.num_gpus = 2;
+  const RunResult two = RunFor<ClassicVariant>(g, two_gpus, 5);
+  EXPECT_EQ(two.stats.kernel_launches, 5u * 2);  // per GPU, per iteration
+  EXPECT_EQ(two.stats.grid_syncs, 0u);
+  EXPECT_EQ(two.labels, one.labels);
+  GlpOptions hybrid;
+  hybrid.force_hybrid = true;
+  const RunResult hy = RunFor<ClassicVariant>(g, hybrid, 5);
+  EXPECT_EQ(hy.stats.kernel_launches, 5u);
+  EXPECT_EQ(hy.stats.grid_syncs, 0u);
+  EXPECT_EQ(hy.labels, one.labels);
+  // Stopping on the device counts holds across the launch structures too.
+  const RunResult one_stable = RunFor<ClassicVariant>(Grid(), {}, 40, true);
+  EXPECT_EQ(RunFor<ClassicVariant>(Grid(), two_gpus, 40, true).labels,
+            one_stable.labels);
+  EXPECT_EQ(RunFor<ClassicVariant>(Grid(), hybrid, 40, true).labels,
+            one_stable.labels);
+}
 
 }  // namespace
 }  // namespace glp::lp

@@ -683,6 +683,65 @@ TEST(CostModelTest, MonotoneInWork) {
   EXPECT_GT(cost.KernelCost(more_launches).total_s, t0);
 }
 
+TEST(CostModelTest, GridSyncsPricedPerBarrierOnTopOfThePipelines) {
+  DeviceProps props = DeviceProps::TitanV();
+  props.grid_sync_s = 1.5e-6;
+  CostModel cost(props);
+  KernelStats work;
+  work.global_transactions = 100000;
+  work.instructions = 100000;
+  const KernelTime t0 = cost.KernelCost(work);
+  EXPECT_EQ(t0.sync_s, 0.0);
+
+  KernelStats synced = work;
+  synced.grid_syncs = 3;
+  const KernelTime t = cost.KernelCost(synced);
+  // A barrier stalls the whole grid: it never hides under memory or compute.
+  EXPECT_EQ(t.mem_s, t0.mem_s);
+  EXPECT_EQ(t.compute_s, t0.compute_s);
+  EXPECT_NEAR(t.sync_s, 3 * 1.5e-6, 1e-18);
+  EXPECT_NEAR(t.total_s, t0.total_s + 3 * 1.5e-6, 1e-15);
+
+  // One persistent launch with T - 1 barriers undercuts T launches only
+  // because a barrier is cheaper than a launch.
+  KernelStats launched = work;
+  launched.kernel_launches = 10;
+  KernelStats persistent = work;
+  persistent.kernel_launches = 1;
+  persistent.grid_syncs = 9;
+  EXPECT_NEAR(cost.KernelCost(launched).total_s -
+                  cost.KernelCost(persistent).total_s,
+              9 * (props.kernel_launch_overhead_s - props.grid_sync_s), 1e-15);
+}
+
+TEST(LaunchTest, ResidentGridBoundedByThreadsAndSharedMemory) {
+  const DeviceProps p = DeviceProps::TitanV();
+  const int64_t threads_per_sm = int64_t{p.resident_warps_per_sm} * kWarpSize;
+  // Thread-bound: no shared memory.
+  EXPECT_EQ(ResidentGridBlocks(p, 256, 0), threads_per_sm / 256 * p.num_sms);
+  // Shared-memory-bound: 40 KB blocks, two per 96 KB SM.
+  EXPECT_EQ(ResidentGridBlocks(p, 256, 40 * 1024), 2 * p.num_sms);
+  // A block that fills the SM still gets one slot per SM.
+  EXPECT_EQ(ResidentGridBlocks(p, 1024, p.shared_mem_per_sm), p.num_sms);
+}
+
+TEST(LaunchTest, EpilogueChargesAreSplitOff) {
+  KernelStats epilogue;
+  const KernelStats main = Launch(
+      DeviceProps::TitanV(), LaunchConfig{4, 64}, nullptr,
+      [](Block& blk) {
+        blk.ForEachWarp([&](Warp& w) {
+          w.CountInstr(2);
+          Warp side(w.warp_id(), w.active(), blk.epilogue_stats());
+          side.CountInstr(1);
+        });
+      },
+      &epilogue);
+  EXPECT_EQ(main.instructions, 4u * 2 * 2);
+  EXPECT_EQ(epilogue.instructions, 4u * 2);
+  EXPECT_EQ(epilogue.kernel_launches, 0u);
+}
+
 TEST(CostModelTest, AtomicsPricedCheaperThanSectors) {
   // Global atomics resolve in L2 (8B RMW), not full DRAM sectors.
   CostModel cost(DeviceProps::TitanV());
