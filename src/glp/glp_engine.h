@@ -19,6 +19,13 @@
 //                    (SLP's memory merge, which counts SLP's changes; LLP's
 //                    volume rebuild).
 //
+// Frontier (GlpOptions::use_frontier; on in pipeline::PipelineConfig): the
+// period-2 rule. From the third iteration on, the LP kernels recompute only
+// vertices marked by the previous iteration's commits — a commit whose label
+// differs from two commits back marks its neighbours — and a skipped vertex
+// keeps the Lnext value, its label from two commits back. The kernels read
+// and push the marks themselves, so the rule adds no phase and no barrier.
+//
 // Launch structure: a single-GPU run whose graph fits on the device is one
 // persistent kernel. It pays one launch, and every former launch boundary
 // inside it is a grid barrier; the barrier that ends an iteration is where,
@@ -85,9 +92,13 @@ class GlpEngine : public Engine {
     return base;
   }
 
-  /// Per-iteration affected-vertex counts of the last frontier-mode run.
+  /// Per-iteration counts of the vertices the last run recomputed, and of
+  /// their edges (every vertex and edge on a full pass).
   const std::vector<uint64_t>& last_affected_counts() const {
     return affected_counts_;
+  }
+  const std::vector<uint64_t>& last_affected_edges() const {
+    return affected_edges_;
   }
 
   /// Vertices that took the Theorem-1 fallback path in the last run.
@@ -225,6 +236,23 @@ class GlpEngine : public Engine {
     counters_.assign(
         2 * static_cast<size_t>(std::max(0, config.max_iterations)), 0);
     device_bytes += counters_.size() * sizeof(uint32_t);
+
+    // The period-2 frontier needs a choice that is a function of the
+    // neighbours' labels alone, under ping-pong buffering: not LLP (its
+    // scores read global label volumes) or SLP (its speakers are redrawn
+    // every iteration), which run full passes. The kGlobal arena is
+    // positionally indexed, so that mode runs full passes too. Two stamped
+    // mark arrays ping-pong like the labels: iteration t reads the marks
+    // iteration t-1 pushed and pushes into the other.
+    const bool frontier_active = options_.use_frontier && use_smem &&
+                                 !Variant::kNeedsLabelAux &&
+                                 !variant.needs_pick_kernel();
+    std::vector<uint32_t> marks[2];
+    if (frontier_active) {
+      marks[0].assign(n, 0);
+      marks[1].assign(n, 0);
+      device_bytes += 2 * nu * sizeof(uint32_t);
+    }
     // Aggregate device memory grows with the GPU count; keep a 10% reserve
     // for kernel working buffers.
     const uint64_t effective_capacity =
@@ -241,18 +269,12 @@ class GlpEngine : public Engine {
     const int64_t grid_blocks = sim::ResidentGridBlocks(
         device_, options_.threads_per_block, max_shared_bytes);
 
-    // Frontier mode needs per-vertex change tracking; it composes with the
-    // shared-memory modes only (the kGlobal arena is positionally indexed)
-    // and is pointless-but-correct to skip for aux-dependent variants.
-    const bool frontier_active =
-        options_.use_frontier && use_smem && !Variant::kNeedsLabelAux;
-    std::vector<graph::Label> prev_spoken, last_chosen;
-    std::vector<uint8_t> affected;
-    if (frontier_active) {
-      prev_spoken = variant.labels();
-      last_chosen = variant.labels();
-    }
     affected_counts_.clear();
+    affected_edges_.clear();
+    // Labels (and, under the frontier, a mark bitmap) cross devices or the
+    // host link between iterations on the multi-GPU and hybrid paths.
+    const uint64_t exchange_bytes =
+        nu * sizeof(graph::Label) + (frontier_active ? (nu + 7) / 8 : 0);
 
     // --- Iterations ---
     prof::PhaseProfiler* const profiler = ctx.profiler;
@@ -287,37 +309,44 @@ class GlpEngine : public Engine {
         view.two_back_slot = count_two_back ? two_back_slot : -1;
       }
 
-      // Frontier construction: vertices whose spoken label changed last
-      // iteration are the change sources; their neighbors must recompute,
-      // everyone else repeats their last chosen label.
-      const bool full_pass = !frontier_active || iter == 0;
+      // Period-2 frontier. L_t(v) is a function of the neighbours' labels
+      // at t-1, so where none of them differs from t-3, L_t(v) = L_{t-2}(v):
+      // the value Lnext already holds, so such a vertex is skipped and
+      // writes nothing. From the second iteration on, each commit whose
+      // label differs from the value it overwrites (two commits back) marks
+      // its neighbours for the next iteration; from the third on, only
+      // marked vertices recompute. The barrier that ends the iteration
+      // orders the marks, so the frontier adds no phase and no barrier.
+      const bool masked = frontier_active && iter >= 2;
       uint64_t affected_count = nu;
-      uint64_t changed_edges = 0;
-      if (!full_pass) {
-        const auto& spoken = variant.labels();
-        affected.assign(n, 0);
-        for (graph::VertexId v = 0; v < n; ++v) {
-          if (spoken[v] == prev_spoken[v]) continue;
-          changed_edges += static_cast<uint64_t>(g.degree(v));
-          for (graph::VertexId u : g.neighbors(v)) affected[u] = 1;
+      uint64_t affected_edges = static_cast<uint64_t>(g.num_edges());
+      sim::KernelStats seed;
+      if (frontier_active) {
+        view.stamp = static_cast<uint32_t>(iter);
+        if (iter >= 1 && iter + 1 < config.max_iterations) {
+          view.marks_out = marks[(iter + 1) % 2].data();
         }
-        // Unaffected vertices repeat their last chosen label, which is
-        // their current one; it differs from two commits back exactly where
-        // the last commit changed it. Affected vertices keep the overwritten
-        // Lnext value for the kernels' own count.
+      }
+      if (masked) {
+        view.marks_in = marks[iter % 2].data();
         affected_count = 0;
-        uint32_t carried_two_back = 0;
-        std::vector<graph::Label>& next = variant.next_labels();
+        affected_edges = 0;
         for (graph::VertexId v = 0; v < n; ++v) {
-          affected_count += affected[v];
-          if (affected[v]) continue;
-          next[v] = last_chosen[v];
-          carried_two_back += spoken[v] != prev_spoken[v];
+          if (view.marks_in[v] != view.stamp) continue;
+          ++affected_count;
+          affected_edges += static_cast<uint64_t>(g.degree(v));
         }
-        if (count_two_back) counters_[two_back_slot] += carried_two_back;
-        prev_spoken = spoken;
+        // Skipped vertices change where they changed last iteration, so
+        // one thread adds the last count to this one and the commits add
+        // their deltas.
+        sim::Warp w(0, sim::LaneBit(0), &seed);
+        const sim::LaneArray<uint32_t> last = w.Gather(
+            counters_.data(), sim::LaneArray<int64_t>(changed_slot - 2));
+        w.AtomicAddGlobal(counters_.data(),
+                          sim::LaneArray<int64_t>(changed_slot), last);
       }
       affected_counts_.push_back(affected_count);
+      affected_edges_.push_back(affected_edges);
 
       // Each GPU runs the full per-iteration schedule over its own vertex
       // partition; devices run concurrently, so the iteration's kernel time
@@ -354,52 +383,6 @@ class GlpEngine : public Engine {
                     prof::Phase::kPick);
         }
 
-        // Frontier filtering of this partition's bins (device cost: compare
-        // + compact over the partition's labels, neighbor-list marking over
-        // the changed vertices, and the carried-label copy).
-        const graph::DegreeBins* bins_now = &part.bins;
-        const LowDegreePlan* plan_now = &part.plan;
-        graph::DegreeBins filtered;
-        LowDegreePlan filtered_plan;
-        if (!full_pass) {
-          auto filter = [&](const std::vector<graph::VertexId>& src,
-                            std::vector<graph::VertexId>* dst) {
-            for (graph::VertexId v : src) {
-              if (affected[v]) dst->push_back(v);
-            }
-          };
-          filter(part.bins.low, &filtered.low);
-          filter(part.bins.mid, &filtered.mid);
-          filter(part.bins.high, &filtered.high);
-          bins_now = &filtered;
-          // Frontier bookkeeping kernels (concurrent with other GPUs).
-          // Per-GPU shares round up so a small frontier is never priced at
-          // zero (truncating division charged nothing whenever
-          // changed_edges < num_gpus).
-          const uint64_t gpus_u = static_cast<uint64_t>(num_gpus);
-          const uint64_t edge_share = (changed_edges + gpus_u - 1) / gpus_u;
-          const uint64_t affected_share =
-              (affected_count + gpus_u - 1) / gpus_u;
-          sim::KernelStats frontier_stats;
-          frontier_stats += MapKernelStats(pv, 8 * pv, 4);  // diff + compact
-          frontier_stats +=
-              MapKernelStats(edge_share, edge_share * 4, affected_share);
-          frontier_stats += MapKernelStats(pv, pv * 4, pv * 4);  // carry copy
-          if (count_two_back) frontier_stats += CountEpilogueStats(pv);
-          if (use_warp_pack) {
-            filtered_plan = BuildLowDegreePlan(g, filtered.low);
-            plan_now = &filtered_plan;
-            // Device-side plan rebuild: scan + prefix-sum + slot fill.
-            uint64_t flow_edges = 0;
-            for (graph::VertexId v : filtered.low) {
-              flow_edges += static_cast<uint64_t>(g.degree(v));
-            }
-            frontier_stats += MapKernelStats(flow_edges, flow_edges * 8,
-                                             flow_edges * 4);
-          }
-          run_phase(frontier_stats, prof::Phase::kFrontier);
-        }
-
         // LabelPropagation kernels by mode. The per-bin kernels are
         // independent and launch on concurrent streams, so the whole phase
         // pays one launch overhead and fills the device together. When
@@ -407,7 +390,7 @@ class GlpEngine : public Engine {
         // time can be attributed per bin (pricing itself is unchanged); the
         // kernels' commit counting is attributed to the commit.
         sim::KernelStats phase;
-        sim::KernelStats commit;
+        sim::KernelStats commit = gpu == 0 ? seed : sim::KernelStats{};
         std::vector<BinPart> bin_parts;
         auto add_part = [&](prof::Phase p, const sim::KernelStats& s) {
           phase += s;
@@ -424,40 +407,40 @@ class GlpEngine : public Engine {
         } else {
           if (use_warp_pack) {
             add_part(prof::Phase::kLowBin,
-                     RunLowDegreeWarpKernel(device_, pool, view, *plan_now,
+                     RunLowDegreeWarpKernel(device_, pool, view, part.plan,
                                             options_.threads_per_block,
                                             &commit));
             // Isolated low-bin vertices: trivial map kernel on its stream
             // that re-commits the current label — an isolated vertex has no
             // neighbors and must keep its label across iterations, so it
-            // adds nothing to either count.
-            if (!plan_now->isolated.empty()) {
-              for (graph::VertexId v : plan_now->isolated) {
+            // adds nothing to either count, and the frontier never marks it.
+            const std::vector<graph::VertexId>& isolated = part.plan.isolated;
+            if (!isolated.empty() && !masked) {
+              for (graph::VertexId v : isolated) {
                 variant.next_labels()[v] = variant.labels()[v];
               }
               add_part(prof::Phase::kLowBin,
-                       MapKernelStats(plan_now->isolated.size(),
-                                      plan_now->isolated.size() * 4,
-                                      plan_now->isolated.size() * 4));
+                       MapKernelStats(isolated.size(), isolated.size() * 4,
+                                      isolated.size() * 4));
             }
-          } else if (!bins_now->low.empty()) {
+          } else if (!part.bins.low.empty()) {
             add_part(prof::Phase::kLowBin,
                      RunWarpPerVertexSmemKernel(
-                         device_, pool, view, bins_now->low,
+                         device_, pool, view, part.bins.low,
                          part.low_ht_capacity, options_.threads_per_block,
                          &commit));
           }
-          if (!bins_now->mid.empty()) {
+          if (!part.bins.mid.empty()) {
             add_part(prof::Phase::kMidBin,
                      RunWarpPerVertexSmemKernel(
-                         device_, pool, view, bins_now->mid,
+                         device_, pool, view, part.bins.mid,
                          part.mid_ht_capacity, options_.threads_per_block,
                          &commit));
           }
-          if (!bins_now->high.empty()) {
+          if (!part.bins.high.empty()) {
             add_part(prof::Phase::kHighBin,
                      RunHighDegreeBlockKernel(device_, pool, view,
-                                              bins_now->high, options_,
+                                              part.bins.high, options_,
                                               &fallbacks, &commit));
           }
         }
@@ -497,10 +480,6 @@ class GlpEngine : public Engine {
       }
       acc.AddSeconds(max_gpu_seconds);
 
-      if (frontier_active) {
-        std::copy(variant.next_labels().begin(), variant.next_labels().end(),
-                  last_chosen.begin());
-      }
       variant.EndIteration(iter);
       const uint32_t changed = counters_[changed_slot];
       // A period-2 cycle: nothing differs from two commits back, at an even
@@ -517,10 +496,9 @@ class GlpEngine : public Engine {
       double iter_s = acc.TakeSeconds();
       if (num_gpus > 1) {
         // Label all-gather over NVLink, 80% overlapped with compute.
-        const double t_p2p =
-            cost_.PeerTransferCost(nu * sizeof(graph::Label));
+        const double t_p2p = cost_.PeerTransferCost(exchange_bytes);
         const double charged = 0.2 * t_p2p + device_.pcie_latency_s;
-        transfers.PeerToPeer(nu * sizeof(graph::Label));
+        transfers.PeerToPeer(exchange_bytes);
         iter_s += charged;
         if (profiler != nullptr) {
           profiler->AddSeconds(prof::Phase::kAllGather, charged);
@@ -540,12 +518,12 @@ class GlpEngine : public Engine {
         const double t_cpu = cpu_edges * options_.host_bytes_per_edge /
                              (options_.host_mem_bandwidth_gbps * 1e9);
         const double t_compute = std::max(t_gpu, t_cpu);
-        const double t_sync = cost_.TransferCost(nu * sizeof(graph::Label));
+        const double t_sync = cost_.TransferCost(exchange_bytes);
         // Label sync streams in chunks as partitions finish; ~75% of it
         // hides under compute.
         const double exposed =
             std::max(device_.pcie_latency_s, t_sync - 0.75 * t_compute);
-        transfers.OverlappedHostToDevice(nu * sizeof(graph::Label));
+        transfers.OverlappedHostToDevice(exchange_bytes);
         result.transfer_seconds += exposed;
         iter_s = t_compute + exposed;
         if (profiler != nullptr) {
@@ -628,6 +606,7 @@ class GlpEngine : public Engine {
   uint64_t fallback_count_ = 0;
   double plan_occupancy_ = 1.0;
   std::vector<uint64_t> affected_counts_;
+  std::vector<uint64_t> affected_edges_;
   /// Device change counters of the last run (see last_changed()).
   std::vector<uint32_t> counters_;
 };

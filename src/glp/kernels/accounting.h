@@ -95,20 +95,6 @@ inline sim::KernelStats MapKernelStats(uint64_t elements, uint64_t bytes_read,
   return s;
 }
 
-/// Synthesized stats of a warp-aggregated count over `elements` flags a map
-/// kernel already holds: per warp a ballot, a popc, and one global atomic
-/// (no launch of its own).
-inline sim::KernelStats CountEpilogueStats(uint64_t elements) {
-  sim::KernelStats s;
-  const uint64_t warps = (elements + 31) / 32;
-  s.intrinsic_ops = 2 * warps;
-  s.instructions = 3 * warps;
-  s.active_lane_cycles = 3 * warps * 32;
-  s.total_lane_cycles = 3 * warps * 32;
-  s.global_atomics = warps;
-  return s;
-}
-
 /// Synthesized stats of a scattered histogram kernel (LLP volume rebuild):
 /// one coalesced read of the label array plus one random-address global
 /// atomic per element.

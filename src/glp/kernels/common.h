@@ -5,6 +5,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 
@@ -41,6 +42,16 @@ struct DeviceView {
   /// counters[two_back_slot] += vertices whose committed label differs from
   /// the Lnext value it overwrites; < 0 skips this count.
   int64_t two_back_slot = -1;
+  /// Period-2 frontier (GlpOptions::use_frontier). With `marks_in` set only
+  /// the vertices v with marks_in[v] == stamp recompute; the rest keep the
+  /// Lnext value, their label from two commits back, and the commit counts
+  /// changes as a delta on the previous iteration's count, which the engine
+  /// adds once. With `marks_out` set, every committing vertex whose label
+  /// differs from the Lnext value it overwrites stores stamp + 1 at
+  /// marks_out[u] for each neighbour u.
+  const uint32_t* marks_in = nullptr;
+  uint32_t* marks_out = nullptr;
+  uint32_t stamp = 0;
 
   static DeviceView Of(const graph::Graph& g, Variant& variant) {
     DeviceView view;
@@ -125,20 +136,76 @@ inline void ApplyEdgeWeightsContig(sim::Warp& w,
   w.CountInstr();
 }
 
+/// The first active lane of `w` atomically adds `value` to counters[slot]
+/// (skipped when it is 0; a negative delta wraps).
+inline void LeaderAtomicAdd(sim::Warp& w, uint32_t* counters, int64_t slot,
+                            uint32_t value) {
+  if (value == 0) return;
+  const sim::LaneMask entry = w.active();
+  w.SetActive(sim::LaneBit(sim::FirstLane(entry)));
+  w.AtomicAddGlobal(counters, sim::LaneArray<int64_t>(slot),
+                    sim::LaneArray<uint32_t>(value));
+  w.SetActive(entry);
+}
+
 /// Warp-aggregated count: __ballot_sync over `pred`, __popc, and one lane
 /// atomically adds the popcount to counters[slot] (skipped when it is 0).
-inline void WarpAggregatedCount(sim::Warp& w, uint32_t* counters, int64_t slot,
-                                const sim::LaneArray<int>& pred) {
+/// Returns the ballot.
+inline sim::LaneMask WarpAggregatedCount(sim::Warp& w, uint32_t* counters,
+                                         int64_t slot,
+                                         const sim::LaneArray<int>& pred) {
   const sim::LaneMask hits = w.BallotSync(pred);
   w.stats()->intrinsic_ops += 1;  // __popc
   w.CountInstr();
-  if (hits == 0) return;
+  LeaderAtomicAdd(w, counters, slot, static_cast<uint32_t>(sim::Popc(hits)));
+  return hits;
+}
+
+/// The period-2 frontier's test (view.marks_in set): the lanes of `w`'s
+/// active set whose vertex vid[l] is marked for this iteration.
+template <typename Variant, typename Index>
+sim::LaneMask MarkedLanes(sim::Warp& w, const DeviceView<Variant>& view,
+                          const sim::LaneArray<Index>& vid) {
+  const sim::LaneArray<uint32_t> mark = w.Gather(view.marks_in, vid);
+  sim::LaneArray<int> pred(0);
+  sim::ForEachLane(w.active(),
+                   [&](int l) { pred[l] = mark[l] == view.stamp; });
+  w.CountInstr();
+  return w.BallotSync(pred);
+}
+
+/// Whether vertex v recomputes this iteration: always on a full pass, else
+/// MarkedLanes for v, read by lane 0 of `w`.
+template <typename Variant>
+bool VertexMarked(sim::Warp& w, const DeviceView<Variant>& view,
+                  graph::VertexId v) {
+  if (view.marks_in == nullptr) return true;
   const sim::LaneMask entry = w.active();
-  w.SetActive(sim::LaneBit(sim::FirstLane(entry)));
-  const sim::LaneArray<int64_t> idx(slot);
-  const sim::LaneArray<uint32_t> add(static_cast<uint32_t>(sim::Popc(hits)));
-  w.AtomicAddGlobal(counters, idx, add);
+  w.SetActive(sim::LaneBit(0));
+  const bool marked =
+      MarkedLanes(w, view, sim::LaneArray<int64_t>(v)) != 0;
   w.SetActive(entry);
+  return marked;
+}
+
+/// Pushes the next iteration's marks from a vertex whose list starts at
+/// `begin`: `w` covers list positions [first, degree) in 32-lane chunks
+/// `stride` apart, loading each chunk's neighbour ids and storing the next
+/// stamp at their marks.
+template <typename Variant>
+void PushMarks(sim::Warp& w, const DeviceView<Variant>& view,
+               graph::EdgeId begin, int64_t degree, int64_t first,
+               int64_t stride) {
+  const sim::LaneArray<uint32_t> next_stamp(view.stamp + 1);
+  for (int64_t base = first; base < degree; base += stride) {
+    const int lanes =
+        static_cast<int>(std::min<int64_t>(sim::kWarpSize, degree - base));
+    w.SetActive(lanes >= sim::kWarpSize ? sim::kFullMask
+                                        : ((1u << lanes) - 1u));
+    const sim::LaneArray<graph::VertexId> nbr =
+        w.GatherContig(view.neighbors, begin + base);
+    w.ScatterRelaxed(view.marks_out, nbr, next_stamp);
+  }
 }
 
 /// \brief Commit epilogue of the LabelPropagation kernels: lane l of `w`'s
@@ -151,34 +218,59 @@ inline void WarpAggregatedCount(sim::Warp& w, uint32_t* counters, int64_t slot,
 /// a two-back slot it does the same against the Lnext value it overwrites;
 /// under ping-pong buffering that is the labeling two commits back, so the
 /// count is the device half of StabilityTracker.
+///
+/// Under the period-2 frontier the epilogue always gathers the overwritten
+/// value. With marks in, it adds changed lanes minus lanes that changed in
+/// the last commit (own label vs overwritten), because the skipped vertices
+/// carry the last commit's changes. Returns the lanes whose label differs
+/// from the overwritten value when marks_out is set (the caller pushes
+/// their marks), else 0.
 template <typename Variant>
-void CommitLabels(sim::Warp& w, sim::KernelStats* count_stats,
-                  const DeviceView<Variant>& view,
-                  const sim::LaneArray<int64_t>& vid,
-                  const sim::LaneArray<graph::Label>& chosen) {
+sim::LaneMask CommitLabels(sim::Warp& w, sim::KernelStats* count_stats,
+                           const DeviceView<Variant>& view,
+                           const sim::LaneArray<int64_t>& vid,
+                           const sim::LaneArray<graph::Label>& chosen) {
   if (view.counters == nullptr) {
     w.Scatter(view.next, vid, chosen);
-    return;
+    return 0;
   }
   const sim::LaneMask lanes = w.active();
   sim::Warp cw(w.warp_id(), lanes, count_stats);
   const sim::LaneArray<graph::Label> own = cw.Gather(view.labels, vid);
   const bool two_back = view.two_back_slot >= 0;
+  const bool marks = view.marks_in != nullptr || view.marks_out != nullptr;
   sim::LaneArray<graph::Label> overwritten;
-  if (two_back) overwritten = cw.Gather(view.next, vid);
+  if (two_back || marks) overwritten = cw.Gather(view.next, vid);
   w.Scatter(view.next, vid, chosen);
-  sim::LaneArray<int> changed, differs;
+  sim::LaneArray<int> changed, differs, changed_before;
   sim::ForEachLane(lanes, [&](int l) {
     const graph::Label now =
         chosen[l] == graph::kInvalidLabel ? own[l] : chosen[l];
     changed[l] = now != own[l];
     differs[l] = now != overwritten[l];
+    changed_before[l] = own[l] != overwritten[l];
   });
-  cw.CountInstr(two_back ? 2 : 1);
-  WarpAggregatedCount(cw, view.counters, view.changed_slot, changed);
-  if (two_back) {
-    WarpAggregatedCount(cw, view.counters, view.two_back_slot, differs);
+  cw.CountInstr((two_back || marks ? 2 : 1) +
+                (view.marks_in != nullptr ? 1 : 0));
+  if (view.marks_in != nullptr) {
+    const sim::LaneMask now = cw.BallotSync(changed);
+    const sim::LaneMask before = cw.BallotSync(changed_before);
+    cw.stats()->intrinsic_ops += 2;  // two __popc
+    cw.CountInstr(2);                // and their difference
+    LeaderAtomicAdd(cw, view.counters, view.changed_slot,
+                    static_cast<uint32_t>(sim::Popc(now)) -
+                        static_cast<uint32_t>(sim::Popc(before)));
+  } else {
+    WarpAggregatedCount(cw, view.counters, view.changed_slot, changed);
   }
+  sim::LaneMask differing = 0;
+  if (two_back) {
+    differing =
+        WarpAggregatedCount(cw, view.counters, view.two_back_slot, differs);
+  } else if (view.marks_out != nullptr) {
+    differing = cw.BallotSync(differs);
+  }
+  return view.marks_out != nullptr ? differing : 0;
 }
 
 /// Counts the vertices whose chosen label next[v] is set and differs from

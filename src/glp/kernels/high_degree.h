@@ -60,6 +60,8 @@ sim::KernelStats RunHighDegreeBlockKernel(
 
   return sim::Launch(props, cfg, pool, [=](sim::Block& blk) {
     const graph::VertexId v = vlist[blk.block_idx()];
+    sim::Warp leader(0, sim::LaneBit(0), blk.stats());
+    if (!VertexMarked(leader, view, v)) return;
     const graph::EdgeId begin = view.offsets[v];
     const int64_t degree = view.offsets[v + 1] - begin;
     const int threads = blk.num_threads();
@@ -236,12 +238,17 @@ sim::KernelStats RunHighDegreeBlockKernel(
 
     if (degree == 0) winner.label = graph::kInvalidLabel;
 
-    // Leader thread commits Lnext[v].
-    sim::Warp leader(0, sim::LaneBit(0), blk.stats());
+    // Leader thread commits Lnext[v]; the block pushes the marks.
     sim::LaneArray<int64_t> idx(0);
     sim::LaneArray<graph::Label> val(winner.label);
     idx[0] = v;
-    CommitLabels(leader, blk.epilogue_stats(), view, idx, val);
+    if (CommitLabels(leader, blk.epilogue_stats(), view, idx, val) != 0) {
+      for (int wi = 0; wi < blk.num_warps(); ++wi) {
+        sim::Warp pw(wi, sim::kFullMask, blk.epilogue_stats());
+        PushMarks(pw, view, begin, degree, int64_t{wi} * sim::kWarpSize,
+                  threads);
+      }
+    }
   }, commit_stats);
 }
 

@@ -123,9 +123,15 @@ sim::KernelStats RunLowDegreeWarpKernel(const sim::DeviceProps& props,
       sim::ForEachLane(sim::kFullMask, [&](int l) {
         valid_pred[l] = vid[l] != graph::kInvalidVertex ? 1 : 0;
       });
-      const sim::LaneMask active = w.BallotSync(valid_pred);
+      sim::LaneMask active = w.BallotSync(valid_pred);
       if (active == 0) return;
       w.SetActive(active);
+      // Frontier: a vertex's lanes are all marked or all not.
+      if (view.marks_in != nullptr) {
+        active = MarkedLanes(w, view, vid);
+        if (active == 0) return;
+        w.SetActive(active);
+      }
 
       // Step 2 (early): group lanes by vertex — also yields each lane's rank
       // within its vertex, from which the edge index is derived without a
@@ -203,7 +209,18 @@ sim::KernelStats RunLowDegreeWarpKernel(const sim::DeviceProps& props,
       sim::LaneArray<int64_t> out_idx(sim::kUninit);
       sim::ForEachLane(vertex_leaders,
                        [&](int l) { out_idx[l] = vid[l]; });
-      CommitLabels(w, blk.epilogue_stats(), view, out_idx, winner);
+      const sim::LaneMask pushers =
+          CommitLabels(w, blk.epilogue_stats(), view, out_idx, winner);
+      if (pushers != 0) {
+        // Every lane of a differing vertex stores the mark of the neighbour
+        // it already holds.
+        sim::LaneMask push_lanes = 0;
+        sim::ForEachLane(pushers, [&](int l) { push_lanes |= vmask[l]; });
+        sim::Warp pw(w.warp_id(), push_lanes, blk.epilogue_stats());
+        pw.CountInstr();
+        pw.ScatterRelaxed(view.marks_out, nbr,
+                          sim::LaneArray<uint32_t>(view.stamp + 1));
+      }
       w.SetActive(sim::kFullMask);
     });
   }, commit_stats);

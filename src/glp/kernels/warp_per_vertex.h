@@ -52,6 +52,7 @@ sim::KernelStats RunWarpPerVertexSmemKernel(
           blk.block_idx() * warps_per_block + w.warp_id();
       if (vi >= num_vertices) return;
       const graph::VertexId v = vlist[vi];
+      if (!VertexMarked(w, view, v)) return;
       const graph::EdgeId begin = view.offsets[v];
       const int64_t degree = view.offsets[v + 1] - begin;
 
@@ -126,12 +127,15 @@ sim::KernelStats RunWarpPerVertexSmemKernel(
         best.Merge(WarpArgMax(w, valid, score, k));
       }
 
-      // Leader lane commits the choice.
+      // Leader lane commits the choice; the warp pushes the marks.
       sim::LaneArray<int64_t> idx(0);
       sim::LaneArray<graph::Label> val(best.label);
       idx[0] = v;
       w.SetActive(sim::LaneBit(0));
-      CommitLabels(w, blk.epilogue_stats(), view, idx, val);
+      if (CommitLabels(w, blk.epilogue_stats(), view, idx, val) != 0) {
+        sim::Warp pw(w.warp_id(), sim::kFullMask, blk.epilogue_stats());
+        PushMarks(pw, view, begin, degree, 0, sim::kWarpSize);
+      }
       w.SetActive(sim::kFullMask);
     });
   }, commit_stats);

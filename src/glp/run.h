@@ -273,13 +273,19 @@ struct GlpOptions {
   int cms_depth = 4;          ///< CMS hash functions (d)
   int cms_width = 2048;       ///< CMS buckets per row (w)
   int threads_per_block = 256;
-  /// Incremental (frontier) recomputation: a vertex re-runs LabelPropagation
-  /// only when some neighbor's spoken label changed last iteration — Ligra's
-  /// pruning applied to the GPU kernels. Exact for all variants; variants
-  /// with per-label auxiliary state (LLP) recompute everything regardless
-  /// (their scores shift globally), and SLP's random speakers keep the
-  /// frontier near-full, so the win is for classic-style variants on
-  /// converging graphs.
+  /// Period-2 frontier: from the third iteration on, a vertex re-runs
+  /// LabelPropagation only when some neighbour's label at t-1 differs from
+  /// its label at t-3; otherwise its label is the one from two iterations
+  /// back, which ping-pong buffering already holds in Lnext. A commit whose
+  /// label differs from the value it overwrites pushes marks to its
+  /// neighbours, inside the LP kernels, so the rule adds no phase and no
+  /// grid barrier. It skips work where labels converge and where they
+  /// oscillate with period 2 (bipartite windows). Exact: labels, iteration
+  /// counts and the device change counters equal full passes. Classic and
+  /// degree-weighted LP in the shared-memory modes use it; LLP (global
+  /// label volumes), SLP (speakers redrawn every iteration) and mode
+  /// kGlobal run full passes. Off here, so the paper-figure benches time
+  /// full passes; pipeline::PipelineConfig turns it on.
   bool use_frontier = false;
   /// Number of GPUs (vertex-partitioned, per-iteration label all-gather;
   /// aggregate device memory scales with the count).

@@ -104,20 +104,27 @@ WindowSnapshot SlidingWindow::SnapshotRange(size_t begin_idx, size_t end_idx,
     scratch->epoch = 1;
   }
   const uint32_t epoch = scratch->epoch;
-  auto intern = [&](VertexId global) {
+  std::vector<VertexId>& l2g = snap.local_to_global;
+  auto stamp = [&](VertexId global) {
     if (scratch->epoch_of[global] != epoch) {
       scratch->epoch_of[global] = epoch;
-      scratch->local_of[global] =
-          static_cast<VertexId>(snap.local_to_global.size());
-      snap.local_to_global.push_back(global);
+      l2g.push_back(global);
     }
-    return scratch->local_of[global];
   };
+  for (size_t i = begin_idx; i < end_idx; ++i) {
+    stamp(edges_[i].src);
+    stamp(edges_[i].dst);
+  }
+  std::sort(l2g.begin(), l2g.end(), WindowIdBefore);
+  for (size_t v = 0; v < l2g.size(); ++v) {
+    scratch->local_of[l2g[v]] = static_cast<VertexId>(v);
+  }
 
   std::vector<Edge> local;
   local.reserve(end_idx - begin_idx);
   for (size_t i = begin_idx; i < end_idx; ++i) {
-    local.push_back({intern(edges_[i].src), intern(edges_[i].dst)});
+    local.push_back({scratch->local_of[edges_[i].src],
+                     scratch->local_of[edges_[i].dst]});
   }
 
   GraphBuilder builder(static_cast<VertexId>(snap.local_to_global.size()));

@@ -32,11 +32,24 @@ inline bool CanonicalEdgeLess(const TimedEdge& a, const TimedEdge& b) {
   return a.dst < b.dst;
 }
 
+/// The order of window (local) ids: descending entity id. A vertex's window
+/// id is its initial label and its rank in every smaller-label tie-break,
+/// so a fixed order over entities — not first appearance in the window —
+/// keeps those ranks unchanged when a prefix expires or edges arrive, and
+/// numbers the window of any component or shard subset consistently. Id
+/// order also keeps entities that are adjacent in the stream's id space
+/// (buyers, items) adjacent on the device, so label gathers coalesce.
+/// Descending rather than ascending: the smallest ids of the synthetic
+/// stream are its fraud-ring buyers, and ties broken toward them spread
+/// ring labels into organic neighbours (DESIGN.md §4.9).
+inline bool WindowIdBefore(VertexId a, VertexId b) { return a > b; }
+
 /// A window's induced graph plus the mapping back to stream-global ids.
 struct WindowSnapshot {
   Graph graph;
-  /// local_to_global[local_id] = id in the full entity universe. Only
-  /// entities with at least one edge in the window appear.
+  /// local_to_global[local_id] = id in the full entity universe, in
+  /// WindowIdBefore order. Only entities with at least one edge in the
+  /// window appear.
   std::vector<VertexId> local_to_global;
 };
 

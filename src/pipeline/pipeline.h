@@ -37,7 +37,11 @@ struct PipelineConfig {
   lp::EngineKind engine = lp::EngineKind::kGlp;
   lp::VariantKind variant = lp::VariantKind::kClassic;
   lp::VariantParams variant_params;
-  lp::GlpOptions glp_options;
+  /// GLP tuning. Unlike a bare GlpOptions, the pipeline runs the period-2
+  /// frontier (GlpOptions::use_frontier): labels are bit-equal to full
+  /// passes, and a converging or oscillating window recomputes only where
+  /// labels still move.
+  lp::GlpOptions glp_options{.use_frontier = true};
   /// LP run parameters (iterations, seed, stop_when_stable, initial
   /// labels), forwarded verbatim to the engine.
   lp::RunConfig lp;

@@ -15,9 +15,12 @@ namespace {
 
 constexpr uint64_t kMagic = 0x31544b5043504c47ULL;  // "GLPCPKT1" LE
 // v2 appends the incremental-serving anchor arrays (flag bit 4); v3
-// appends the WAL position (wal_seq, wal_epoch). Older files still load,
-// with the newer fields defaulted.
-constexpr uint32_t kVersion = 3;
+// appends the WAL position (wal_seq, wal_epoch). v4 has v3's layout; its
+// incremental anchors were computed with window ids in entity-id order.
+// Older files still load, with the newer fields defaulted and their
+// anchors dropped (they encode first-appearance tie-breaks).
+constexpr uint32_t kVersion = 4;
+constexpr uint32_t kEntityOrderedIdsVersion = 4;
 constexpr uint32_t kMinVersion = 1;
 
 /// FNV-1a over the serialized payload — corruption detection, not crypto.
@@ -206,6 +209,13 @@ Result<CheckpointData> LoadCheckpoint(const std::string& path) {
   if (data.inc_anchors.size() != data.inc_entities.size()) {
     return Status::IoError("inconsistent incremental state in checkpoint " +
                            path);
+  }
+  if (version < kEntityOrderedIdsVersion) {
+    // Clean components would publish labels that cold detection no longer
+    // produces; without anchors the first tick re-runs every component.
+    data.has_incremental = false;
+    data.inc_entities.clear();
+    data.inc_anchors.clear();
   }
   return data;
 }

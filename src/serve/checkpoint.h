@@ -54,8 +54,10 @@ struct CheckpointData {
   /// how clean components keep their labels across a kill/restore. The
   /// union-find itself is not serialized — restore rebuilds it, clean,
   /// from `edges`, so the pair round-trips the complete persistent
-  /// incremental state. v1 files load with these
-  /// left empty (first post-restore tick rebuilds from scratch).
+  /// incremental state. Files before v4 load with these left empty (the
+  /// first post-restore tick rebuilds from scratch): v2 and v3 anchors
+  /// were computed under first-appearance window ids, whose tie-breaks
+  /// cold detection no longer reproduces.
   bool has_incremental = false;
   std::vector<graph::VertexId> inc_entities;
   std::vector<graph::VertexId> inc_anchors;

@@ -1435,17 +1435,17 @@ size_t StreamServer::InternWindowEdges() {
     ow.gid.clear();
     ow.num_components = 0;
   }
-  // Components are owned whole, so an entity's first window edge is in its
-  // owner's list: owner-local ids follow first appearance within the owner,
-  // window ids first appearance in the window — the ids the 1-shard
-  // snapshot assigns.
-  VertexId next_gid = 0;
+  // Components are owned whole, so every edge of an entity is in its
+  // owner's list. The pass numbers entities provisionally as they appear;
+  // RenumberByEntity then gives owner-local and window ids in
+  // graph::WindowIdBefore order — the ids the 1-shard snapshot assigns.
+  VertexId num_vertices = 0;
   const auto intern = [&](VertexId g, OwnerWork& ow) {
     if (ids.epoch_of[g] != epoch) {
       ids.epoch_of[g] = epoch;
       ids.local_of[g] = static_cast<VertexId>(ow.snap.local_to_global.size());
       ow.snap.local_to_global.push_back(g);
-      ow.gid.push_back(next_gid++);
+      ++num_vertices;
       if (inc_tracker_.IsRoot(g)) ++ow.num_components;
     }
     return ids.local_of[g];
@@ -1495,7 +1495,48 @@ size_t StreamServer::InternWindowEdges() {
       heap.pop_back();
     }
   }
-  return next_gid;
+  RenumberByEntity();
+  return num_vertices;
+}
+
+void StreamServer::RenumberByEntity() {
+  graph::SlidingWindow::Scratch& ids = tick_ids_;
+  std::vector<VertexId>& perm = renumber_scratch_;
+  for (OwnerWork& ow : owners_) {
+    std::vector<VertexId>& l2g = ow.snap.local_to_global;
+    if (std::is_sorted(l2g.begin(), l2g.end(), graph::WindowIdBefore)) {
+      continue;
+    }
+    std::sort(l2g.begin(), l2g.end(), graph::WindowIdBefore);
+    perm.resize(l2g.size());
+    for (size_t v = 0; v < l2g.size(); ++v) {
+      perm[ids.local_of[l2g[v]]] = static_cast<VertexId>(v);
+      ids.local_of[l2g[v]] = static_cast<VertexId>(v);
+    }
+    for (graph::Edge& e : ow.edges) {
+      e.src = perm[e.src];
+      e.dst = perm[e.dst];
+    }
+  }
+  // Window ids: each entity's rank in the merge of the owners' sorted
+  // entity lists. An owner's local ids are then a monotone subsequence of
+  // the window ids.
+  std::vector<size_t> head(owners_.size(), 0);
+  for (OwnerWork& ow : owners_) ow.gid.resize(ow.snap.local_to_global.size());
+  for (VertexId next = 0;; ++next) {
+    int best = -1;
+    VertexId best_entity = 0;
+    for (size_t o = 0; o < owners_.size(); ++o) {
+      const std::vector<VertexId>& l2g = owners_[o].snap.local_to_global;
+      if (head[o] == l2g.size()) continue;
+      if (best < 0 || graph::WindowIdBefore(l2g[head[o]], best_entity)) {
+        best = static_cast<int>(o);
+        best_entity = l2g[head[o]];
+      }
+    }
+    if (best < 0) break;
+    owners_[best].gid[head[best]++] = next;
+  }
 }
 
 void StreamServer::RunOwnerDetection(int o, double window_start,

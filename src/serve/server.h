@@ -28,14 +28,15 @@
 // the boundary every iteration, and a one-hop halo cannot carry that. What
 // *is* exactly decomposable is connectivity: labels never cross connected
 // components, and per-component LP is order-isomorphic to the global run
-// (an owner's local ids keep the window's first-appearance order, so every
-// MFL tie-break resolves identically). One persistent fleet-wide
+// (owner-local and window ids both follow one fixed entity order,
+// graph::WindowIdBefore, so an owner's ids are a monotone subsequence of
+// the window's and every MFL tie-break resolves identically). One persistent fleet-wide
 // union-find (serve::IncrementalTracker) fed by the shard windows' deltas
 // gives the global components in every tick mode; whole components are
 // assigned to owner shards (PartitionOf(min-entity)). One ordered pass — a
 // k-way merge of the shard windows' owned in-window edges (a single scan on
 // one shard) — interns each edge into its owner's snapshot edge list and
-// gives each entity its window id on first appearance, so every tick
+// gives each entity its window id in that entity order, so every tick
 // publishes labels, clusters and warm-start labels in the window's
 // canonical local-id space, and a cold N-shard tick is identical to the
 // 1-shard tick — labels included. With one shard the owner snapshot is
@@ -233,9 +234,14 @@ class StreamServer : public Server {
   /// The ordered pass: merges the shard windows' owned in-window edges in
   /// canonical order (a single scan on one shard) and interns each edge into
   /// its owner's edge list. Entities get their owner-local id (tick_ids_)
-  /// and window id (OwnerWork::gid) on first appearance, and each owner
-  /// counts its component roots. Returns the window's vertex count.
+  /// and window id (OwnerWork::gid) in graph::WindowIdBefore order, and
+  /// each owner counts its component roots. Returns the window's vertex
+  /// count.
   size_t InternWindowEdges();
+  /// Second half of the ordered pass: sorts each owner's entities, renumbers
+  /// its edges and tick_ids_ to match, and assigns the window ids (each
+  /// entity's rank among all owners' entities).
+  void RenumberByEntity();
   /// Builds owner o's snapshot (+ warm labels) from its interned edges, and
   /// runs detection through the retry/degradation ladder. With `use_delta`
   /// set, builds a pipeline::DetectDelta from the fleet tracker's exported
@@ -353,6 +359,7 @@ class StreamServer : public Server {
   /// One entity map for the whole tick: entities stamped by the ordered
   /// pass carry their owner-local id in local_of.
   graph::SlidingWindow::Scratch tick_ids_;
+  std::vector<graph::VertexId> renumber_scratch_;  ///< RenumberByEntity
   /// owner_of_[entity], persistent across ticks for all in-window entities
   /// (refreshed for dirty components each tick).
   std::vector<uint8_t> owner_of_;

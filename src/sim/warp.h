@@ -184,6 +184,23 @@ class Warp {
     ChargeGlobalAccess(offs, n, sizeof(T));
   }
 
+  /// Scatter to words other blocks may store to in the same phase: a benign
+  /// race on hardware when they all store one value, as frontier marks do.
+  /// Charged as Scatter; each store goes through std::atomic_ref so the
+  /// host threads that simulate concurrent blocks do not race.
+  template <typename T, typename Index>
+  void ScatterRelaxed(T* base, const LaneArray<Index>& idx,
+                      const LaneArray<T>& val) {
+    uint64_t offs[kWarpSize];
+    int n = 0;
+    ForEachLane(active_, [&](int lane) {
+      std::atomic_ref<T>(base[idx[lane]])
+          .store(val[lane], std::memory_order_relaxed);
+      offs[n++] = static_cast<uint64_t>(idx[lane]) * sizeof(T);
+    });
+    ChargeGlobalAccess(offs, n, sizeof(T));
+  }
+
   /// Contiguous gather: out[lane] = base[start + lane]; the fully-coalesced
   /// fast path for neighbor-list scans.
   template <typename T>

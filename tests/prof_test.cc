@@ -117,22 +117,28 @@ TEST(ProfTest, MultiGpuRunAttributesAllGather) {
               1e-9 * r.value().simulated_seconds + 1e-15);
 }
 
-TEST(ProfTest, FrontierRunAttributesFrontierPhase) {
+TEST(ProfTest, FrontierRunAddsNoPhaseOrBarrier) {
   Graph g = TestGraph();
-  prof::PhaseProfiler profiler;
   RunConfig run;
   run.max_iterations = 6;
   GlpOptions opts;
   opts.use_frontier = true;
-  GlpEngine<ClassicVariant> glp({}, opts);
-  auto r = glp.Run(g, run, Ctx(&profiler));
+  prof::PhaseProfiler with, without;
+  auto r = GlpEngine<ClassicVariant>({}, opts).Run(g, run, Ctx(&with));
+  auto full = GlpEngine<ClassicVariant>().Run(g, run, Ctx(&without));
   ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(full.ok());
   const prof::PhaseBreakdown& b = r.value().phase_breakdown;
   ASSERT_TRUE(b.enabled);
-  // Inside the single-GPU persistent launch the frontier phase is priced
-  // but launches nothing.
+  // The marks are read by the LP kernels and pushed by their commit, so
+  // the run books no frontier phase and as many barriers as a full run.
   EXPECT_EQ(b[prof::Phase::kFrontier].launches, 0u);
-  EXPECT_GT(b[prof::Phase::kFrontier].seconds, 0);
+  EXPECT_EQ(b[prof::Phase::kFrontier].seconds, 0);
+  EXPECT_EQ(b[prof::Phase::kGridSync].seconds,
+            full.value().phase_breakdown[prof::Phase::kGridSync].seconds);
+  EXPECT_GT(b[prof::Phase::kCommit].seconds, 0);
+  EXPECT_NEAR(b.SumSeconds(), r.value().simulated_seconds,
+              1e-9 * r.value().simulated_seconds + 1e-15);
 }
 
 TEST(ProfTest, CpuEnginesProduceWallClockBreakdowns) {
