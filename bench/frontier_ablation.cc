@@ -1,12 +1,15 @@
 // Frontier-mode ablation: per-iteration simulated time of full GLP vs
 // GLP+frontier (the period-2 rule), with the share of vertices and of edges
-// each frontier iteration recomputes, on two workloads:
+// each frontier iteration recomputes, whether it pushed marks for the next
+// one (the direction switch) and whether it ran on the device at all (the
+// iterations after an exit are filled in), on two workloads:
 //   - a converging planted partition, where the affected set collapses as
 //     communities settle;
 //   - an organic-shaped transaction window (buyers x items, so bipartite),
 //     where labels oscillate with period 2 and a one-back rule would skip
 //     nothing.
-// Labels must be identical to the full passes; the bench aborts otherwise.
+// Labels must be identical to the full passes, and the frontier run must
+// not be priced above them; the bench aborts otherwise.
 // Flags: --scale, --iters, --seed.
 
 #include "bench/bench_common.h"
@@ -40,7 +43,8 @@ void Ablate(const char* name, const graph::Graph& g,
   GLP_CHECK(b.ok());
   GLP_CHECK(a.value().labels == b.value().labels);
 
-  bench::PrintHeader({"iter", "full", "frontier", "affected", "vfrac", "efrac"},
+  bench::PrintHeader({"iter", "full", "frontier", "affected", "vfrac", "efrac",
+                      "pushed", "ran"},
                      12);
   const auto& vertices = frontier.last_affected_counts();
   const auto& edges = frontier.last_affected_edges();
@@ -49,12 +53,14 @@ void Ablate(const char* name, const graph::Graph& g,
   double edge_work = 0;
   for (int i = 0; i < a.value().iterations; ++i) {
     edge_work += static_cast<double>(edges[i]);
-    std::printf("%-12d%-12s%-12s%-12s%-12.3f%-12.3f\n", i,
+    std::printf("%-12d%-12s%-12s%-12s%-12.3f%-12.3f%-12s%-12s\n", i,
                 bench::Duration(a.value().iteration_seconds[i]).c_str(),
                 bench::Duration(b.value().iteration_seconds[i]).c_str(),
                 bench::Count(static_cast<double>(vertices[i])).c_str(),
                 static_cast<double>(vertices[i]) / nv,
-                static_cast<double>(edges[i]) / ne);
+                static_cast<double>(edges[i]) / ne,
+                frontier.last_pushed(i) ? "yes" : "no",
+                i < frontier.last_iterations_ran() ? "yes" : "no");
   }
   std::printf(
       "\ntotal: full %s vs frontier %s -> %s overall; edge-iterations "
@@ -64,6 +70,9 @@ void Ablate(const char* name, const graph::Graph& g,
       bench::Speedup(a.value().simulated_seconds, b.value().simulated_seconds)
           .c_str(),
       edge_work / (ne * a.value().iterations));
+  std::fflush(stdout);  // the table stays readable when the check aborts
+  GLP_CHECK(b.value().simulated_seconds <= a.value().simulated_seconds)
+      << name << ": the frontier run is priced above full passes";
 }
 
 }  // namespace

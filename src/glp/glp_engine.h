@@ -20,16 +20,25 @@
 //                    volume rebuild).
 //
 // Frontier (GlpOptions::use_frontier; on in pipeline::PipelineConfig): the
-// period-2 rule. From the third iteration on, the LP kernels recompute only
-// vertices marked by the previous iteration's commits — a commit whose label
-// differs from two commits back marks its neighbours — and a skipped vertex
-// keeps the Lnext value, its label from two commits back. The kernels read
-// and push the marks themselves, so the rule adds no phase and no barrier.
+// period-2 rule. Each commit counts its pushers, the vertices whose label
+// differs from two commits back, by their edges. An iteration after one that
+// pushed marks recomputes only the marked vertices; a skipped vertex keeps
+// the Lnext value, its label from two commits back. At the barrier opening
+// each iteration the blocks read the last pushed-edge count and decide two
+// things. Direction: the iteration pushes marks to its pushers' neighbours
+// only when that count predicts the pushes cost less than the recompute
+// they let the next iteration skip (PushShareLimit, from the cost model's
+// prices); otherwise the next iteration runs in full. Exit: a count of 0
+// means the last commit equals the one two back, so every later iteration
+// repeats that period-2 cycle; the blocks exit, and the remaining iterations
+// are filled in with no device work. The kernels read and push the marks
+// themselves, so the rule adds no phase and no barrier.
 //
 // Launch structure: a single-GPU run whose graph fits on the device is one
 // persistent kernel. It pays one launch, and every former launch boundary
 // inside it is a grid barrier; the barrier that ends an iteration is where,
-// under stop_when_stable, the blocks read the counters and stop together.
+// under stop_when_stable or the frontier, the blocks read the counters and
+// stop (or exit) together.
 // Multi-GPU and hybrid runs exchange labels between iterations (a peer
 // all-gather, a host sync), so they launch every phase of every iteration.
 //
@@ -93,7 +102,8 @@ class GlpEngine : public Engine {
   }
 
   /// Per-iteration counts of the vertices the last run recomputed, and of
-  /// their edges (every vertex and edge on a full pass).
+  /// their edges (every vertex and edge on a full pass; 0 on the iterations
+  /// filled in after a frontier exit).
   const std::vector<uint64_t>& last_affected_counts() const {
     return affected_counts_;
   }
@@ -109,8 +119,18 @@ class GlpEngine : public Engine {
   /// Device counters of iteration `iter` of the last run: the labels its
   /// commit changed, and the labels that differ from two commits back
   /// (counted under stop_when_stable from the second iteration on, else 0).
+  /// An iteration filled in after a frontier exit reports what the run in
+  /// full passes counts there: the last run iteration's change count (the
+  /// cycle swaps the same labels back and forth) and 0 two-back.
   uint32_t last_changed(int iter) const { return counters_[2 * iter]; }
   uint32_t last_two_back(int iter) const { return counters_[2 * iter + 1]; }
+
+  /// Whether iteration `iter` of the last run pushed frontier marks for the
+  /// next one (the direction switch), and how many iterations ran on the
+  /// device: after a frontier exit the rest of RunResult::iterations were
+  /// filled in.
+  bool last_pushed(int iter) const { return pushed_[iter]; }
+  int last_iterations_ran() const { return iterations_ran_; }
 
   using Engine::Run;
   Result<RunResult> Run(const graph::Graph& g, const RunConfig& config,
@@ -231,11 +251,6 @@ class GlpEngine : public Engine {
       }
     }
     if (use_warp_pack) plan_occupancy_ = occupancy_sum / num_gpus;
-    // Device change counters: a (changed, two-back) pair per iteration,
-    // zeroed with the upload.
-    counters_.assign(
-        2 * static_cast<size_t>(std::max(0, config.max_iterations)), 0);
-    device_bytes += counters_.size() * sizeof(uint32_t);
 
     // The period-2 frontier needs a choice that is a function of the
     // neighbours' labels alone, under ping-pong buffering: not LLP (its
@@ -247,6 +262,15 @@ class GlpEngine : public Engine {
     const bool frontier_active = options_.use_frontier && use_smem &&
                                  !Variant::kNeedsLabelAux &&
                                  !variant.needs_pick_kernel();
+    // Device change counters, zeroed with the upload: a (changed, two-back)
+    // pair per iteration, then under the frontier a pushed-edge count per
+    // iteration from slot pushed_base on.
+    const int max_iterations = std::max(0, config.max_iterations);
+    const int64_t pushed_base = 2 * static_cast<int64_t>(max_iterations);
+    counters_.assign((frontier_active ? 3 : 2) *
+                         static_cast<size_t>(max_iterations),
+                     0);
+    device_bytes += counters_.size() * sizeof(uint32_t);
     std::vector<uint32_t> marks[2];
     if (frontier_active) {
       marks[0].assign(n, 0);
@@ -271,10 +295,6 @@ class GlpEngine : public Engine {
 
     affected_counts_.clear();
     affected_edges_.clear();
-    // Labels (and, under the frontier, a mark bitmap) cross devices or the
-    // host link between iterations on the multi-GPU and hybrid paths.
-    const uint64_t exchange_bytes =
-        nu * sizeof(graph::Label) + (frontier_active ? (nu + 7) / 8 : 0);
 
     // --- Iterations ---
     prof::PhaseProfiler* const profiler = ctx.profiler;
@@ -292,7 +312,27 @@ class GlpEngine : public Engine {
     // StabilityTracker's rule, on the device's two-back counts.
     const bool track_cycles =
         config.stop_when_stable && !variant.needs_pick_kernel();
+    auto stops = [&](int iter) {
+      // A period-2 cycle: nothing differs from two commits back, at an even
+      // commit count (StabilityTracker).
+      const bool cycled = track_cycles && iter > 0 && iter % 2 == 1 &&
+                          counters_[2 * iter + 1] == 0;
+      return config.stop_when_stable && (counters_[2 * iter] == 0 || cycled);
+    };
+    // What the blocks read at the barrier opening an iteration: the last
+    // (changed, two-back) pair under stop_when_stable, and under the
+    // frontier the last pushed-edge count, one sector each.
+    CounterRead read;
+    if (config.stop_when_stable) read.Add(2);
+    if (frontier_active) read.Add(1);
     bool launched = false;  // the persistent run's one launch is issued
+    // The frontier's direction switch: an iteration pushes marks only when
+    // the last one pushed from fewer edges than this.
+    const double push_edges_max =
+        PushShareLimit(cost_) * static_cast<double>(g.num_edges());
+    bool marks_pushed = false;  // the last iteration pushed for this one
+    bool exited = false;
+    pushed_.clear();
 
     for (int iter = 0; iter < config.max_iterations; ++iter) {
       if (ctx.StopRequested()) return Status::Cancelled("GLP run cancelled");
@@ -312,21 +352,28 @@ class GlpEngine : public Engine {
       // Period-2 frontier. L_t(v) is a function of the neighbours' labels
       // at t-1, so where none of them differs from t-3, L_t(v) = L_{t-2}(v):
       // the value Lnext already holds, so such a vertex is skipped and
-      // writes nothing. From the second iteration on, each commit whose
-      // label differs from the value it overwrites (two commits back) marks
-      // its neighbours for the next iteration; from the third on, only
-      // marked vertices recompute. The barrier that ends the iteration
-      // orders the marks, so the frontier adds no phase and no barrier.
-      const bool masked = frontier_active && iter >= 2;
+      // writes nothing. Each commit but the last counts its pushers' edges;
+      // from the second iteration on, when the last count says the pushes
+      // pay, the pushers mark their neighbours and the next iteration
+      // recomputes only marked vertices. The barrier that ends the
+      // iteration orders the marks, so the frontier adds no phase and no
+      // barrier.
+      const bool masked = marks_pushed;
+      bool pushes = false;
       uint64_t affected_count = nu;
       uint64_t affected_edges = static_cast<uint64_t>(g.num_edges());
       sim::KernelStats seed;
       if (frontier_active) {
         view.stamp = static_cast<uint32_t>(iter);
-        if (iter >= 1 && iter + 1 < config.max_iterations) {
-          view.marks_out = marks[(iter + 1) % 2].data();
+        if (iter + 1 < config.max_iterations) {
+          view.pushed_slot = pushed_base + iter;
+          pushes = iter >= 1 &&
+                   counters_[pushed_base + iter - 1] < push_edges_max;
+          if (pushes) view.marks_out = marks[(iter + 1) % 2].data();
         }
       }
+      marks_pushed = pushes;
+      pushed_.push_back(pushes);
       if (masked) {
         view.marks_in = marks[iter % 2].data();
         affected_count = 0;
@@ -360,15 +407,14 @@ class GlpEngine : public Engine {
         // Launches the next phase carries: one each on the per-iteration
         // path. A persistent run launches with its first phase, and every
         // later phase first waits at a grid barrier; at the one opening an
-        // iteration, under stop_when_stable, the blocks read the counters.
+        // iteration the blocks read the counters (CounterRead).
         bool opens_iteration = true;
         auto next_phase = [&]() -> uint64_t {
-          const bool reads_counters =
-              std::exchange(opens_iteration, false) && config.stop_when_stable;
+          const bool reads_counters = std::exchange(opens_iteration, false);
           if (!persistent) return 1;
           if (!std::exchange(launched, true)) return 1;
           gpu_seconds +=
-              GridBarrier(&acc, gpu, reads_counters ? grid_blocks : 0);
+              GridBarrier(&acc, gpu, reads_counters ? grid_blocks : 0, read);
           return 0;
         };
         auto run_phase = [&](sim::KernelStats s, prof::Phase p) {
@@ -482,18 +528,26 @@ class GlpEngine : public Engine {
 
       variant.EndIteration(iter);
       const uint32_t changed = counters_[changed_slot];
-      // A period-2 cycle: nothing differs from two commits back, at an even
-      // commit count (StabilityTracker).
-      const bool cycled =
-          count_two_back && iter % 2 == 1 && counters_[two_back_slot] == 0;
-      const bool stop = config.stop_when_stable && (changed == 0 || cycled);
-      if (stop && persistent && iter + 1 < config.max_iterations) {
+      const bool stop = stops(iter);
+      // No pusher: this commit equals the one two back, so every later
+      // iteration repeats that period-2 cycle (DESIGN.md §4.2) and the run
+      // exits here.
+      exited = frontier_active && !stop &&
+               iter + 1 < config.max_iterations &&
+               counters_[pushed_base + iter] == 0;
+      if ((stop || exited) && persistent &&
+          iter + 1 < config.max_iterations) {
         // The blocks read the final counters at one more barrier, then exit.
-        acc.AddSeconds(GridBarrier(&acc, 0, grid_blocks));
+        acc.AddSeconds(GridBarrier(&acc, 0, grid_blocks, read));
       }
 
       // --- Price the iteration ---
       double iter_s = acc.TakeSeconds();
+      // Labels (and, after an iteration that pushed, a mark bitmap) cross
+      // devices or the host link between iterations on the multi-GPU and
+      // hybrid paths.
+      const uint64_t exchange_bytes =
+          nu * sizeof(graph::Label) + (pushes ? (nu + 7) / 8 : 0);
       if (num_gpus > 1) {
         // Label all-gather over NVLink, 80% overlapped with compute.
         const double t_p2p = cost_.PeerTransferCost(exchange_bytes);
@@ -535,7 +589,31 @@ class GlpEngine : public Engine {
       recorder.RecordIteration(changed, affected_count, iter_s);
       result.iteration_seconds.push_back(iter_s);
       ++result.iterations;
-      if (stop) break;
+      if (stop || exited) break;
+    }
+    iterations_ran_ = result.iterations;
+
+    // After a frontier exit the logical run goes on in the cycle: Lnext
+    // already holds each later iteration's labels, the ones two commits
+    // back, so the host's buffer flip is the whole commit, and the result is
+    // the labeling the remaining budget's parity picks. The filled
+    // iterations change what the last one changed, differ from two back
+    // nowhere, cost nothing and recompute no vertex; stop_when_stable's rule
+    // applies to them as to any other.
+    for (int iter = result.iterations; exited && iter < config.max_iterations;
+         ++iter) {
+      if (profiler != nullptr) profiler->BeginIteration(iter);
+      variant.BeginIteration(iter);
+      counters_[2 * iter] = counters_[2 * iter - 2];
+      variant.EndIteration(iter);
+      pushed_.push_back(false);
+      affected_counts_.push_back(0);
+      affected_edges_.push_back(0);
+      if (profiler != nullptr) profiler->EndIteration(0);
+      recorder.RecordIteration(counters_[2 * iter], 0, 0);
+      result.iteration_seconds.push_back(0);
+      ++result.iterations;
+      if (stops(iter)) break;
     }
 
     fallback_count_ = fallbacks.load();
@@ -558,16 +636,52 @@ class GlpEngine : public Engine {
     sim::KernelStats s;
   };
 
+  /// The device counters each block reads at a barrier opening an
+  /// iteration: one sector per group of adjacent counters.
+  struct CounterRead {
+    uint64_t sectors = 0;
+    uint64_t bytes = 0;
+    void Add(int words) {
+      ++sectors;
+      bytes += static_cast<uint64_t>(words) * sizeof(uint32_t);
+    }
+  };
+
   /// Prices one grid barrier of a persistent launch on `gpu`, after which
-  /// `readers` resident blocks each read the iteration's counter pair (one
-  /// sector) to decide whether to run on.
-  double GridBarrier(GpuRunAccumulator* acc, int gpu, int64_t readers) const {
+  /// `readers` resident blocks each make `read` to decide whether and how
+  /// to run on.
+  double GridBarrier(GpuRunAccumulator* acc, int gpu, int64_t readers,
+                     const CounterRead& read) const {
     sim::KernelStats s;
     s.grid_syncs = 1;
-    s.global_transactions = static_cast<uint64_t>(readers);
-    s.global_bytes_requested =
-        static_cast<uint64_t>(readers) * 2 * sizeof(uint32_t);
+    s.global_transactions = static_cast<uint64_t>(readers) * read.sectors;
+    s.global_bytes_requested = static_cast<uint64_t>(readers) * read.bytes;
     return acc->AddLaunchConcurrent(s, prof::Phase::kGridSync, gpu);
+  }
+
+  /// The frontier's direction switch, as a share of the edges: an iteration
+  /// pushes marks only when the last iteration's pushers had fewer edges.
+  /// A pushed edge (v, u) marks u, whose recompute reads that edge, so the
+  /// next iteration recomputes at least as many edges as were pushed, and
+  /// pushing a share p of them pays only when p c_mark < (1 - p) c_edge,
+  /// that is p < c_edge / (c_mark + c_edge). The cost model prices a warp
+  /// of each: 32 marks read their neighbour ids (coalesced) and store
+  /// scattered; 32 recomputed edges read their ids, gather scattered labels
+  /// and insert them into a shared hash table (a CAS and an add each).
+  static double PushShareLimit(const sim::CostModel& cost) {
+    const uint64_t id_sectors =
+        sim::kWarpSize * sizeof(graph::VertexId) /
+        static_cast<uint64_t>(cost.props().sector_bytes);
+    sim::KernelStats mark;
+    mark.global_transactions = id_sectors + sim::kWarpSize;
+    mark.instructions = 2;
+    sim::KernelStats edge;
+    edge.global_transactions = id_sectors + sim::kWarpSize;
+    edge.shared_atomics = 2 * sim::kWarpSize;
+    edge.instructions = 4;
+    const double c_mark = cost.KernelCost(mark).total_s;
+    const double c_edge = cost.KernelCost(edge).total_s;
+    return c_edge / (c_mark + c_edge);
   }
 
   /// Splits the fused (single-launch) LabelPropagation phase's priced time
@@ -609,6 +723,8 @@ class GlpEngine : public Engine {
   std::vector<uint64_t> affected_edges_;
   /// Device change counters of the last run (see last_changed()).
   std::vector<uint32_t> counters_;
+  std::vector<bool> pushed_;  ///< see last_pushed()
+  int iterations_ran_ = 0;
 };
 
 }  // namespace glp::lp

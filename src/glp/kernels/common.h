@@ -40,18 +40,29 @@ struct DeviceView {
   /// their own label.
   int64_t changed_slot = 0;
   /// counters[two_back_slot] += vertices whose committed label differs from
-  /// the Lnext value it overwrites; < 0 skips this count.
+  /// the Lnext value it overwrites; < 0 skips this count. Under the frontier
+  /// these vertices are the pushers, which pushed_slot counts by their edges
+  /// on every commit but the last.
   int64_t two_back_slot = -1;
-  /// Period-2 frontier (GlpOptions::use_frontier). With `marks_in` set only
-  /// the vertices v with marks_in[v] == stamp recompute; the rest keep the
-  /// Lnext value, their label from two commits back, and the commit counts
-  /// changes as a delta on the previous iteration's count, which the engine
-  /// adds once. With `marks_out` set, every committing vertex whose label
-  /// differs from the Lnext value it overwrites stores stamp + 1 at
-  /// marks_out[u] for each neighbour u.
+  /// Period-2 frontier (GlpOptions::use_frontier). With `pushed_slot` >= 0
+  /// the commit counts its pushers, the vertices whose committed label
+  /// differs from the Lnext value it overwrites (from their own label on the
+  /// run's first commit, stamp 0, which has nothing two commits back), and
+  /// adds their edges to counters[pushed_slot]. The engine reads that count
+  /// at the barrier opening the next iteration: it sets `marks_out` there
+  /// only when the count predicts that the pushes cost less than the
+  /// recompute they let the iteration after skip, and it exits when the
+  /// count is 0, because every later iteration then repeats a period-2
+  /// cycle. With `marks_out` set, every pusher stores stamp + 1 at
+  /// marks_out[u] for each neighbour u. With `marks_in` set (the last
+  /// iteration pushed) only the vertices v with marks_in[v] == stamp
+  /// recompute; the rest keep the Lnext value, their label from two commits
+  /// back, and the commit counts changes as a delta on the previous
+  /// iteration's count, which the engine adds once.
   const uint32_t* marks_in = nullptr;
   uint32_t* marks_out = nullptr;
   uint32_t stamp = 0;
+  int64_t pushed_slot = -1;
 
   static DeviceView Of(const graph::Graph& g, Variant& variant) {
     DeviceView view;
@@ -210,7 +221,7 @@ void PushMarks(sim::Warp& w, const DeviceView<Variant>& view,
 
 /// \brief Commit epilogue of the LabelPropagation kernels: lane l of `w`'s
 /// active set writes chosen[l] (kInvalidLabel: no neighbors, keep the
-/// current label) to Lnext[vid[l]].
+/// current label) to Lnext[vid[l]]; edges[l] is that vertex's degree.
 ///
 /// When the view carries counters, the epilogue also counts what the commit
 /// changes, charged to `count_stats`: it gathers each vertex's own label,
@@ -219,17 +230,19 @@ void PushMarks(sim::Warp& w, const DeviceView<Variant>& view,
 /// under ping-pong buffering that is the labeling two commits back, so the
 /// count is the device half of StabilityTracker.
 ///
-/// Under the period-2 frontier the epilogue always gathers the overwritten
-/// value. With marks in, it adds changed lanes minus lanes that changed in
-/// the last commit (own label vs overwritten), because the skipped vertices
-/// carry the last commit's changes. Returns the lanes whose label differs
-/// from the overwritten value when marks_out is set (the caller pushes
-/// their marks), else 0.
+/// Under the period-2 frontier (a pushed slot) the epilogue also sums the
+/// pushers' edges (a shuffle reduction when several lanes commit) and adds
+/// them with one atomicAdd. With marks in, it adds changed lanes minus
+/// lanes that changed in the last commit (own label vs overwritten),
+/// because the skipped vertices carry the last commit's changes. Returns
+/// the pushers when marks_out is set (the caller pushes their marks), else
+/// 0.
 template <typename Variant>
 sim::LaneMask CommitLabels(sim::Warp& w, sim::KernelStats* count_stats,
                            const DeviceView<Variant>& view,
                            const sim::LaneArray<int64_t>& vid,
-                           const sim::LaneArray<graph::Label>& chosen) {
+                           const sim::LaneArray<graph::Label>& chosen,
+                           const sim::LaneArray<uint32_t>& edges) {
   if (view.counters == nullptr) {
     w.Scatter(view.next, vid, chosen);
     return 0;
@@ -238,9 +251,13 @@ sim::LaneMask CommitLabels(sim::Warp& w, sim::KernelStats* count_stats,
   sim::Warp cw(w.warp_id(), lanes, count_stats);
   const sim::LaneArray<graph::Label> own = cw.Gather(view.labels, vid);
   const bool two_back = view.two_back_slot >= 0;
-  const bool marks = view.marks_in != nullptr || view.marks_out != nullptr;
+  const bool pushers = view.pushed_slot >= 0;
+  // Whether the value two commits back is needed; on the first commit the
+  // pushers are the changed lanes.
+  const bool overwrites =
+      two_back || view.marks_in != nullptr || (pushers && view.stamp > 0);
   sim::LaneArray<graph::Label> overwritten;
-  if (two_back || marks) overwritten = cw.Gather(view.next, vid);
+  if (overwrites) overwritten = cw.Gather(view.next, vid);
   w.Scatter(view.next, vid, chosen);
   sim::LaneArray<int> changed, differs, changed_before;
   sim::ForEachLane(lanes, [&](int l) {
@@ -250,8 +267,8 @@ sim::LaneMask CommitLabels(sim::Warp& w, sim::KernelStats* count_stats,
     differs[l] = now != overwritten[l];
     changed_before[l] = own[l] != overwritten[l];
   });
-  cw.CountInstr((two_back || marks ? 2 : 1) +
-                (view.marks_in != nullptr ? 1 : 0));
+  cw.CountInstr((overwrites ? 2 : 1) + (view.marks_in != nullptr ? 1 : 0));
+  sim::LaneMask changed_lanes = 0;
   if (view.marks_in != nullptr) {
     const sim::LaneMask now = cw.BallotSync(changed);
     const sim::LaneMask before = cw.BallotSync(changed_before);
@@ -261,14 +278,24 @@ sim::LaneMask CommitLabels(sim::Warp& w, sim::KernelStats* count_stats,
                     static_cast<uint32_t>(sim::Popc(now)) -
                         static_cast<uint32_t>(sim::Popc(before)));
   } else {
-    WarpAggregatedCount(cw, view.counters, view.changed_slot, changed);
+    changed_lanes =
+        WarpAggregatedCount(cw, view.counters, view.changed_slot, changed);
   }
   sim::LaneMask differing = 0;
   if (two_back) {
     differing =
         WarpAggregatedCount(cw, view.counters, view.two_back_slot, differs);
-  } else if (view.marks_out != nullptr) {
-    differing = cw.BallotSync(differs);
+  } else if (pushers) {
+    differing = overwrites ? cw.BallotSync(differs) : changed_lanes;
+  }
+  if (pushers && differing != 0) {
+    uint32_t pushed = 0;
+    sim::ForEachLane(differing, [&](int l) { pushed += edges[l]; });
+    if (sim::Popc(lanes) > 1) {
+      cw.stats()->intrinsic_ops += 5;  // butterfly sum over the warp
+      cw.CountInstr(5);
+    }
+    LeaderAtomicAdd(cw, view.counters, view.pushed_slot, pushed);
   }
   return view.marks_out != nullptr ? differing : 0;
 }

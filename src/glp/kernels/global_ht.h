@@ -145,7 +145,8 @@ sim::KernelStats RunGlobalHtKernel(const sim::DeviceProps& props,
       sim::LaneArray<graph::Label> val(best.label);
       idx[0] = v;
       w.SetActive(sim::LaneBit(0));
-      CommitLabels(w, blk.epilogue_stats(), view, idx, val);
+      CommitLabels(w, blk.epilogue_stats(), view, idx, val,
+                   sim::LaneArray<uint32_t>(static_cast<uint32_t>(degree)));
       w.SetActive(sim::kFullMask);
     });
   }, commit_stats);

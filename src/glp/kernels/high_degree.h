@@ -242,7 +242,9 @@ sim::KernelStats RunHighDegreeBlockKernel(
     sim::LaneArray<int64_t> idx(0);
     sim::LaneArray<graph::Label> val(winner.label);
     idx[0] = v;
-    if (CommitLabels(leader, blk.epilogue_stats(), view, idx, val) != 0) {
+    const sim::LaneArray<uint32_t> edges(static_cast<uint32_t>(degree));
+    if (CommitLabels(leader, blk.epilogue_stats(), view, idx, val, edges) !=
+        0) {
       for (int wi = 0; wi < blk.num_warps(); ++wi) {
         sim::Warp pw(wi, sim::kFullMask, blk.epilogue_stats());
         PushMarks(pw, view, begin, degree, int64_t{wi} * sim::kWarpSize,

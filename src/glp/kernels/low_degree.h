@@ -209,8 +209,17 @@ sim::KernelStats RunLowDegreeWarpKernel(const sim::DeviceProps& props,
       sim::LaneArray<int64_t> out_idx(sim::kUninit);
       sim::ForEachLane(vertex_leaders,
                        [&](int l) { out_idx[l] = vid[l]; });
+      // A vertex's degree is its lane count, popc(vmask), under the frontier.
+      sim::LaneArray<uint32_t> edges(0);
+      if (view.pushed_slot >= 0) {
+        sim::ForEachLane(vertex_leaders, [&](int l) {
+          edges[l] = static_cast<uint32_t>(sim::Popc(vmask[l]));
+        });
+        w.stats()->intrinsic_ops += 1;
+        w.CountInstr();
+      }
       const sim::LaneMask pushers =
-          CommitLabels(w, blk.epilogue_stats(), view, out_idx, winner);
+          CommitLabels(w, blk.epilogue_stats(), view, out_idx, winner, edges);
       if (pushers != 0) {
         // Every lane of a differing vertex stores the mark of the neighbour
         // it already holds.

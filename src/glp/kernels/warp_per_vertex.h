@@ -65,7 +65,8 @@ sim::KernelStats RunWarpPerVertexSmemKernel(
         sim::LaneArray<graph::Label> val(graph::kInvalidLabel);
         idx[0] = v;
         w.SetActive(sim::LaneBit(0));
-        CommitLabels(w, blk.epilogue_stats(), view, idx, val);
+        CommitLabels(w, blk.epilogue_stats(), view, idx, val,
+                     sim::LaneArray<uint32_t>(0));
         w.SetActive(sim::kFullMask);
         return;
       }
@@ -131,8 +132,9 @@ sim::KernelStats RunWarpPerVertexSmemKernel(
       sim::LaneArray<int64_t> idx(0);
       sim::LaneArray<graph::Label> val(best.label);
       idx[0] = v;
+      const sim::LaneArray<uint32_t> edges(static_cast<uint32_t>(degree));
       w.SetActive(sim::LaneBit(0));
-      if (CommitLabels(w, blk.epilogue_stats(), view, idx, val) != 0) {
+      if (CommitLabels(w, blk.epilogue_stats(), view, idx, val, edges) != 0) {
         sim::Warp pw(w.warp_id(), sim::kFullMask, blk.epilogue_stats());
         PushMarks(pw, view, begin, degree, 0, sim::kWarpSize);
       }

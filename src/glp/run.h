@@ -111,8 +111,9 @@ class ConvergenceRecorder {
 
   /// Records one committed iteration. `changed` is the number of labels the
   /// iteration changed; `frontier` the number of vertices recomputed (the
-  /// full vertex count for non-frontier engines); `seconds` its simulated
-  /// (GPU) or wall (CPU) time.
+  /// full vertex count for non-frontier engines, 0 for the iterations a GLP
+  /// frontier run fills in after its exit, which `seconds` also records as
+  /// 0); `seconds` its simulated (GPU) or wall (CPU) time.
   void RecordIteration(uint64_t changed, uint64_t frontier, double seconds);
 
  private:
@@ -273,15 +274,19 @@ struct GlpOptions {
   int cms_depth = 4;          ///< CMS hash functions (d)
   int cms_width = 2048;       ///< CMS buckets per row (w)
   int threads_per_block = 256;
-  /// Period-2 frontier: from the third iteration on, a vertex re-runs
-  /// LabelPropagation only when some neighbour's label at t-1 differs from
-  /// its label at t-3; otherwise its label is the one from two iterations
-  /// back, which ping-pong buffering already holds in Lnext. A commit whose
-  /// label differs from the value it overwrites pushes marks to its
-  /// neighbours, inside the LP kernels, so the rule adds no phase and no
-  /// grid barrier. It skips work where labels converge and where they
-  /// oscillate with period 2 (bipartite windows). Exact: labels, iteration
-  /// counts and the device change counters equal full passes. Classic and
+  /// Period-2 frontier: a vertex re-runs LabelPropagation only when some
+  /// neighbour's label at t-1 differs from its label at t-3; otherwise its
+  /// label is the one from two iterations back, which ping-pong buffering
+  /// already holds in Lnext. A commit whose label differs from the value it
+  /// overwrites pushes marks to its neighbours, inside the LP kernels, so
+  /// the rule adds no phase and no grid barrier. Each commit counts those
+  /// pushers' edges: an iteration pushes only when the last count predicts
+  /// the pushes cost less than the recompute they save (else the next
+  /// iteration runs in full), and a count of 0 ends the run on the device,
+  /// because every later iteration repeats a period-2 cycle (DESIGN.md
+  /// §4.2). It skips work where labels converge and where they oscillate
+  /// with period 2 (bipartite windows). Exact: labels, iteration counts and
+  /// the device change counters equal full passes. Classic and
   /// degree-weighted LP in the shared-memory modes use it; LLP (global
   /// label volumes), SLP (speakers redrawn every iteration) and mode
   /// kGlobal run full passes. Off here, so the paper-figure benches time

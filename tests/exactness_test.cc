@@ -8,7 +8,8 @@
 //                 kernel mode x stop_when_stable x T x pool size x launch
 //                 structure, on a bipartite transaction window (labels
 //                 oscillate with period 2) and a planted partition (labels
-//                 converge).
+//                 converge), and for runs that exit early once the
+//                 frontier is empty, at odd and even remaining budgets.
 //   Serve level   with the pipeline default (frontier on), incremental ticks
 //                 equal a cold full-pass detection of the same window at
 //                 every tick — labels, clusters and confirmations — on 1, 3
@@ -34,6 +35,7 @@
 #include "glp/variants/degree_weighted.h"
 #include "glp/variants/llp.h"
 #include "glp/variants/slp.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/sliding_window.h"
 #include "pipeline/pipeline.h"
@@ -95,6 +97,8 @@ struct EngineRun {
   std::vector<uint32_t> changed, two_back;  // device counters per iteration
   HostCounts host;
   std::vector<uint64_t> affected;  // vertices recomputed per iteration
+  std::vector<bool> pushed;        // iterations that pushed frontier marks
+  int ran = 0;                     // iterations run before a frontier exit
 };
 
 template <typename V>
@@ -115,8 +119,10 @@ EngineRun RunGlp(const Graph& g, const GlpOptions& opts, int iterations,
   for (int it = 0; it < out.result.iterations; ++it) {
     out.changed.push_back(engine.last_changed(it));
     out.two_back.push_back(engine.last_two_back(it));
+    out.pushed.push_back(engine.last_pushed(it));
   }
   out.affected = engine.last_affected_counts();
+  out.ran = engine.last_iterations_ran();
   return out;
 }
 
@@ -278,6 +284,109 @@ TEST(FrontierExactnessTest, OscillatingWindowSkipsWork) {
   EXPECT_EQ(vertices[1], g.num_vertices());
   EXPECT_LT(vertices.back(), g.num_vertices() / 2);
   EXPECT_LT(edges.back(), static_cast<uint64_t>(g.num_edges()) / 2);
+}
+
+// Once a commit has no pusher (it equals the commit two back), every later
+// iteration repeats that period-2 cycle, so the frontier run exits and
+// fills in the rest of its budget.
+
+/// K_{4,4} beside K_{3,5}. Classic LP swaps each side's smallest id across
+/// the cut, so the third commit equals the first. The second differs from
+/// two back on three of four vertices per side, more than half the edges,
+/// so no iteration pushes: the third runs in full, and its commit has no
+/// pusher.
+Graph CompleteBipartitePair() {
+  graph::GraphBuilder b(16);
+  for (graph::VertexId a = 0; a < 4; ++a) {
+    for (graph::VertexId c = 4; c < 8; ++c) b.AddEdge(a, c);
+  }
+  for (graph::VertexId a = 8; a < 11; ++a) {
+    for (graph::VertexId c = 11; c < 16; ++c) b.AddEdge(a, c);
+  }
+  return b.Build();
+}
+
+/// Frontier runs at budget `t` on every launch structure and kernel mode
+/// equal the full-pass run: labels, iteration counts and both counter
+/// vectors. Every one runs as many iterations on the device; returns the
+/// first.
+EngineRun ExpectExitEqualsFullPasses(const Graph& g, int t, bool stable) {
+  ThreadPool pool(2);
+  std::vector<EngineRun> runs;
+  for (const GlpOptions::Mode mode :
+       {GlpOptions::Mode::kSmem, GlpOptions::Mode::kSmemWarp}) {
+    GlpOptions full;
+    full.mode = mode;
+    const EngineRun want = RunGlp<lp::ClassicVariant>(g, full, t, stable,
+                                                      &pool);
+    for (const auto& [launch, opts] : Launches(mode)) {
+      SCOPED_TRACE(::testing::Message()
+                   << "mode=" << static_cast<int>(mode) << " stable="
+                   << stable << " T=" << t << " launch=" << launch);
+      runs.push_back(RunGlp<lp::ClassicVariant>(g, opts, t, stable, &pool));
+      const EngineRun& got = runs.back();
+      EXPECT_EQ(got.result.labels, want.result.labels);
+      EXPECT_EQ(got.result.iterations, want.result.iterations);
+      EXPECT_EQ(got.changed, want.changed);
+      EXPECT_EQ(got.two_back, want.two_back);
+      ExpectCountersMatchHost<lp::ClassicVariant>(got, stable);
+      EXPECT_EQ(got.ran, runs.front().ran);
+    }
+  }
+  return runs.front();
+}
+
+class FrontierExitTest
+    : public ::testing::TestWithParam<std::pair<const char*, Graph (*)()>> {};
+
+// Odd and even remaining budgets pick the cycle's two phases; with
+// stop_when_stable the filled iterations stop where full passes stop.
+TEST_P(FrontierExitTest, EqualsFullPassesAtOddAndEvenRemainders) {
+  const Graph g = GetParam().second();
+  const EngineRun probe = ExpectExitEqualsFullPasses(g, 30, false);
+  ASSERT_LT(probe.ran, 30);
+  for (int remainder = 1; remainder <= 4; ++remainder) {
+    const int t = probe.ran + remainder;
+    const EngineRun plain = ExpectExitEqualsFullPasses(g, t, false);
+    EXPECT_EQ(plain.ran, probe.ran);
+    EXPECT_EQ(plain.result.iterations, t);
+    for (int k = plain.ran; k < t; ++k) {
+      EXPECT_EQ(plain.affected[k], 0u);
+      EXPECT_EQ(plain.result.iteration_seconds[k], 0);
+    }
+    const EngineRun stable = ExpectExitEqualsFullPasses(g, t, true);
+    EXPECT_LE(stable.ran, stable.result.iterations);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Graphs, FrontierExitTest,
+    ::testing::Values(std::make_pair("OrganicWindow", OrganicWindow),
+                      std::make_pair("PlantedPartition", PlantedPartition),
+                      std::make_pair("CompleteBipartitePair",
+                                     CompleteBipartitePair)),
+    [](const auto& info) { return std::string(info.param.first); });
+
+// The exit follows a full pass that did not push: no iteration pushes on
+// this graph, and the third iteration's commit has no pusher. With
+// stop_when_stable the exit comes at an even commit count, so one filled
+// iteration completes the cycle the full passes stop on.
+TEST(FrontierExitTest, UnpushedFullPassThenEmptyFrontier) {
+  const Graph g = CompleteBipartitePair();
+  for (const int t : {4, 5, 10}) {
+    for (const bool stable : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "T=" << t << " stable=" << stable);
+      const EngineRun got = ExpectExitEqualsFullPasses(g, t, stable);
+      EXPECT_EQ(got.ran, 3);
+      EXPECT_EQ(got.result.iterations, stable ? 4 : t);
+      for (int k = 0; k < got.result.iterations; ++k) {
+        EXPECT_FALSE(got.pushed[k]) << k;
+        EXPECT_EQ(got.affected[k], k < 3 ? g.num_vertices() : 0u) << k;
+      }
+      EXPECT_EQ(got.changed[2], g.num_vertices());
+      EXPECT_EQ(got.changed[3], g.num_vertices());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

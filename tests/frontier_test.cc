@@ -9,6 +9,7 @@
 #include "glp/variants/slp.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
 
 namespace glp::lp {
 namespace {
@@ -143,6 +144,36 @@ TEST(FrontierTest, MultiGpuFrontierMatchesFullPassSingleGpu) {
             static_cast<size_t>(a.value().iterations));
   EXPECT_EQ(counts[0], g.num_vertices());
   for (uint64_t c : counts) EXPECT_LE(c, g.num_vertices());
+}
+
+// After an exit the filled iterations recompute no vertex, so the
+// convergence metrics record them with frontier 0 and the last-frontier
+// gauge reads 0.
+TEST(FrontierTest, ConvergenceMetricsShowTheExit) {
+  const Graph g = graph::GenerateGrid2d(12, 12);
+  obs::MetricRegistry registry;
+  RunContext ctx;
+  ctx.metrics = &registry;
+  GlpEngine<ClassicVariant> frontier({}, FrontierOpts());
+  RunConfig run;
+  run.max_iterations = 40;
+  auto r = frontier.Run(g, run, ctx);
+  ASSERT_TRUE(r.ok());
+  const int ran = frontier.last_iterations_ran();
+  ASSERT_LT(ran, run.max_iterations);
+  const obs::Labels labels = {{"engine", frontier.name()}};
+  const obs::Histogram* size =
+      registry.GetHistogram("glp_lp_frontier_size", "", labels);
+  EXPECT_EQ(size->TotalCount(), 40u);
+  EXPECT_EQ(size->bucket_count(0), static_cast<uint64_t>(40 - ran));
+  EXPECT_EQ(registry.GetGauge("glp_lp_last_frontier_size", "", labels)->Value(),
+            0);
+  EXPECT_EQ(registry.GetCounter("glp_lp_iterations_total", "", labels)->Value(),
+            40u);
+  // The cycle changes the same labels on every filled iteration.
+  EXPECT_EQ(
+      registry.GetGauge("glp_lp_last_changed_labels", "", labels)->Value(),
+      frontier.last_changed(ran - 1));
 }
 
 TEST(FrontierTest, NameReflectsMode) {

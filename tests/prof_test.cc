@@ -124,18 +124,29 @@ TEST(ProfTest, FrontierRunAddsNoPhaseOrBarrier) {
   GlpOptions opts;
   opts.use_frontier = true;
   prof::PhaseProfiler with, without;
-  auto r = GlpEngine<ClassicVariant>({}, opts).Run(g, run, Ctx(&with));
+  GlpEngine<ClassicVariant> frontier({}, opts);
+  auto r = frontier.Run(g, run, Ctx(&with));
   auto full = GlpEngine<ClassicVariant>().Run(g, run, Ctx(&without));
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(full.ok());
   const prof::PhaseBreakdown& b = r.value().phase_breakdown;
   ASSERT_TRUE(b.enabled);
   // The marks are read by the LP kernels and pushed by their commit, so
-  // the run books no frontier phase and as many barriers as a full run.
+  // the run books no frontier phase. It runs all six iterations on this
+  // graph, so it pays a full run's five barriers; at each, the blocks also
+  // read the last pushed-edge count, one word per read.
   EXPECT_EQ(b[prof::Phase::kFrontier].launches, 0u);
   EXPECT_EQ(b[prof::Phase::kFrontier].seconds, 0);
-  EXPECT_EQ(b[prof::Phase::kGridSync].seconds,
-            full.value().phase_breakdown[prof::Phase::kGridSync].seconds);
+  ASSERT_EQ(frontier.last_iterations_ran(), run.max_iterations);
+  EXPECT_EQ(r.value().stats.grid_syncs, 5u);
+  EXPECT_EQ(full.value().stats.grid_syncs, 5u);
+  const prof::PhaseStats& sync = b[prof::Phase::kGridSync];
+  EXPECT_EQ(
+      full.value().phase_breakdown[prof::Phase::kGridSync].global_transactions,
+      0u);
+  EXPECT_GT(sync.global_transactions, 0u);
+  EXPECT_EQ(sync.global_transactions % 5, 0u);
+  EXPECT_EQ(sync.global_bytes, sync.global_transactions * sizeof(uint32_t));
   EXPECT_GT(b[prof::Phase::kCommit].seconds, 0);
   EXPECT_NEAR(b.SumSeconds(), r.value().simulated_seconds,
               1e-9 * r.value().simulated_seconds + 1e-15);

@@ -496,6 +496,49 @@ TEST(PersistentLaunchTest, SingleGpuRunLaunchesOnce) {
   EXPECT_EQ(stable.stats.grid_syncs, static_cast<uint64_t>(stable.iterations));
 }
 
+// A frontier run that exits early pays one barrier per iteration it ran:
+// the one opening each iteration after the first, and the one at which the
+// blocks read the empty count and exit. Each such barrier adds its counter
+// read, one sector per resident block, and the filled iterations cost
+// nothing.
+TEST(PersistentLaunchTest, FrontierExitPaysOnlyTheIterationsItRan) {
+  const Graph g = Grid();
+  RunConfig run;
+  run.max_iterations = 40;
+  GlpOptions frontier;
+  frontier.use_frontier = true;
+  GlpEngine<ClassicVariant> engine({}, frontier);
+  prof::PhaseProfiler profiler;
+  RunContext ctx;
+  ctx.profiler = &profiler;
+  auto r = engine.Run(g, run, ctx);
+  ASSERT_TRUE(r.ok());
+  const RunResult& fr = r.value();
+  const int ran = engine.last_iterations_ran();
+  ASSERT_LT(ran, run.max_iterations);
+  EXPECT_EQ(fr.iterations, run.max_iterations);
+  EXPECT_EQ(fr.stats.kernel_launches, 1u);
+  EXPECT_EQ(fr.stats.grid_syncs, static_cast<uint64_t>(ran));
+  for (int it = ran; it < fr.iterations; ++it) {
+    EXPECT_EQ(fr.iteration_seconds[it], 0) << it;
+  }
+  // The grid's 4-degree vertices all run the warp-centric kernel, which
+  // uses no shared memory, so every block of the device is resident.
+  const sim::DeviceProps device = sim::DeviceProps::TitanV();
+  const uint64_t reads = static_cast<uint64_t>(
+      sim::ResidentGridBlocks(device, frontier.threads_per_block, 0));
+  sim::KernelStats barrier;
+  barrier.grid_syncs = 1;
+  barrier.global_transactions = reads;
+  barrier.global_bytes_requested = reads * sizeof(uint32_t);
+  const prof::PhaseStats& sync = fr.phase_breakdown[prof::Phase::kGridSync];
+  EXPECT_EQ(sync.global_transactions, ran * reads);
+  EXPECT_EQ(sync.global_bytes, ran * reads * sizeof(uint32_t));
+  EXPECT_NEAR(sync.seconds,
+              ran * sim::CostModel(device).KernelCost(barrier).total_s,
+              1e-15);
+}
+
 TEST(PersistentLaunchTest, MultiGpuAndHybridLaunchEveryIteration) {
   const Graph g = SmallRmat();
   const RunResult one = RunFor<ClassicVariant>(g, {}, 5);
