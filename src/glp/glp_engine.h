@@ -6,14 +6,18 @@
 // Per iteration:
 //   PickLabel        host hook (+ charged device pick kernel when the
 //                    variant has per-vertex state, e.g. SLP)
-//   LabelPropagation low bin  -> warp-centric multi-vertex kernel (§4.2)
-//                    mid bin  -> warp-per-vertex shared-HT kernel
+//   LabelPropagation low bin  -> warp-centric multi-vertex kernel (§4.2),
+//                               one round per range of consecutive ids
+//                    mid bin  -> warp-per-vertex shared-HT kernel, in id
+//                               order, one batched commit per block
 //                    high bin -> block-per-vertex CMS+HT kernel (§4.1)
 //                    (mode kGlobal/kSmem fall back per Table 3)
 //                    Each kernel's commit writes Lnext and counts the
 //                    labels it changes into a device counter (and, under
 //                    stop_when_stable, those differing from two commits
-//                    back): the commit needs no launch of its own.
+//                    back): the commit needs no launch of its own. The
+//                    kernels' reads coalesce because every CSR list is in
+//                    ascending id order (graph::GraphBuilder).
 //   UpdateVertex     host hook; the label swap is a pointer flip. Charged
 //                    auxiliary kernels remain for variants with extra state
 //                    (SLP's memory merge, which counts SLP's changes; LLP's
@@ -164,7 +168,10 @@ class GlpEngine : public Engine {
 
     // Vertex-partition the bins across GPUs round-robin (the bins are
     // degree-sorted, so striding balances per-GPU edge counts), and build
-    // each GPU's mode-specific structures over its own partition.
+    // each GPU's mode-specific structures over its own partition. The
+    // low-degree kernel's rounds are runs of consecutive ids, which striding
+    // would break up, so under it each GPU takes a contiguous id range of
+    // the low bin holding an equal share of its edges instead.
     struct GpuPartition {
       graph::DegreeBins bins;
       std::vector<graph::VertexId> all_vertices;  // mode kGlobal
@@ -184,9 +191,34 @@ class GlpEngine : public Engine {
         (parts[i % num_gpus].bins.*bin).push_back(src[i]);
       }
     };
-    split(bins.low, &graph::DegreeBins::low);
+    if (use_warp_pack) {
+      std::vector<graph::VertexId> low(bins.low);
+      std::sort(low.begin(), low.end());
+      uint64_t low_edges = 0;
+      for (graph::VertexId v : low) low_edges += g.degree(v);
+      uint64_t before = 0;  // edges of the low vertices already placed
+      int gpu = 0;
+      for (graph::VertexId v : low) {
+        while (gpu + 1 < num_gpus &&
+               before * num_gpus >= (gpu + 1) * low_edges) {
+          ++gpu;
+        }
+        parts[gpu].bins.low.push_back(v);
+        before += g.degree(v);
+      }
+    } else {
+      split(bins.low, &graph::DegreeBins::low);
+    }
     split(bins.mid, &graph::DegreeBins::mid);
     split(bins.high, &graph::DegreeBins::high);
+    // The warp-per-vertex kernel visits its bins in id order: a block's
+    // loads and its batched commit then cover ascending ids.
+    for (GpuPartition& part : parts) {
+      if (use_smem) std::sort(part.bins.mid.begin(), part.bins.mid.end());
+      if (use_smem && !use_warp_pack) {
+        std::sort(part.bins.low.begin(), part.bins.low.end());
+      }
+    }
 
     uint64_t device_bytes = g.bytes() + 2 * nu * sizeof(graph::Label);
     if constexpr (Variant::kNeedsLabelAux) device_bytes += nu * sizeof(float);

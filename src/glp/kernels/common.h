@@ -185,39 +185,121 @@ sim::LaneMask MarkedLanes(sim::Warp& w, const DeviceView<Variant>& view,
   return w.BallotSync(pred);
 }
 
-/// Whether vertex v recomputes this iteration: always on a full pass, else
-/// MarkedLanes for v, read by lane 0 of `w`.
-template <typename Variant>
-bool VertexMarked(sim::Warp& w, const DeviceView<Variant>& view,
-                  graph::VertexId v) {
-  if (view.marks_in == nullptr) return true;
-  const sim::LaneMask entry = w.active();
-  w.SetActive(sim::LaneBit(0));
-  const bool marked =
-      MarkedLanes(w, view, sim::LaneArray<int64_t>(v)) != 0;
-  w.SetActive(entry);
-  return marked;
-}
-
 /// Pushes the next iteration's marks from a vertex whose list starts at
 /// `begin`: `w` covers list positions [first, degree) in 32-lane chunks
 /// `stride` apart, loading each chunk's neighbour ids and storing the next
-/// stamp at their marks.
+/// stamp at their marks. With `ids_held` the warp still holds the ids in
+/// registers from its scan of the list, so only the stores are charged.
 template <typename Variant>
 void PushMarks(sim::Warp& w, const DeviceView<Variant>& view,
                graph::EdgeId begin, int64_t degree, int64_t first,
-               int64_t stride) {
+               int64_t stride, bool ids_held = false) {
   const sim::LaneArray<uint32_t> next_stamp(view.stamp + 1);
   for (int64_t base = first; base < degree; base += stride) {
     const int lanes =
         static_cast<int>(std::min<int64_t>(sim::kWarpSize, degree - base));
     w.SetActive(lanes >= sim::kWarpSize ? sim::kFullMask
                                         : ((1u << lanes) - 1u));
-    const sim::LaneArray<graph::VertexId> nbr =
-        w.GatherContig(view.neighbors, begin + base);
+    sim::LaneArray<graph::VertexId> nbr(sim::kUninit);
+    if (ids_held) {
+      sim::ForEachLane(w.active(), [&](int l) {
+        nbr[l] = view.neighbors[begin + base + l];
+      });
+    } else {
+      nbr = w.GatherContig(view.neighbors, begin + base);
+    }
     w.ScatterRelaxed(view.marks_out, nbr, next_stamp);
   }
 }
+
+/// The bin entries a block of the warp- or block-per-vertex kernels takes,
+/// as one loader warp holds them: lane i has entry i's vertex, its list's
+/// start and its degree. `live` is the entries that recompute this
+/// iteration (the marked ones under the frontier, else all).
+struct BinEntries {
+  sim::LaneArray<graph::VertexId> vertex;
+  sim::LaneArray<graph::EdgeId> begin;
+  sim::LaneArray<uint32_t> degree;
+  sim::LaneMask live = 0;
+};
+
+/// Reads the entries vlist[first, first + n) into the active lanes [0, n)
+/// of `w`: one request for the entries, under the frontier one for their
+/// marks (a block with no marked entry stops there), and one each for the
+/// live entries' list starts and ends.
+template <typename Variant>
+BinEntries LoadBinEntries(sim::Warp& w, const DeviceView<Variant>& view,
+                          const graph::VertexId* vlist, int64_t first) {
+  BinEntries e;
+  e.vertex = w.GatherContig(vlist, first);
+  e.live = w.active();
+  if (view.marks_in != nullptr) {
+    e.live = MarkedLanes(w, view, e.vertex);
+    if (e.live == 0) return e;
+    w.SetActive(e.live);
+  }
+  sim::LaneArray<int64_t> next;
+  sim::ForEachLane(e.live,
+                   [&](int l) { next[l] = int64_t{e.vertex[l]} + 1; });
+  w.CountInstr();
+  e.begin = w.Gather(view.offsets, e.vertex);
+  const sim::LaneArray<graph::EdgeId> end = w.Gather(view.offsets, next);
+  sim::ForEachLane(e.live, [&](int l) {
+    e.degree[l] = static_cast<uint32_t>(end[l] - e.begin[l]);
+  });
+  w.CountInstr();
+  return e;
+}
+
+/// Shared-memory bytes that StagedEntries takes for `n` entries.
+inline int64_t StagedEntryBytes(int64_t n) {
+  return n * static_cast<int64_t>(sizeof(graph::EdgeId) +
+                                  sizeof(graph::VertexId) + sizeof(uint32_t));
+}
+
+/// A block's BinEntries staged in shared memory, so that each of its warps
+/// can read its own after the block's next __syncthreads. A non-live entry
+/// is staged as kInvalidVertex. Allocate it first in the block, so the
+/// 8-byte starts need no padding.
+struct StagedEntries {
+  sim::SharedSpan<graph::EdgeId> begin;
+  sim::SharedSpan<graph::VertexId> vertex;
+  sim::SharedSpan<uint32_t> degree;
+
+  /// `loader` (lanes [0, n) active, n the entry count) stores `e`: one
+  /// shared store per field.
+  StagedEntries(sim::Block& blk, sim::Warp& loader, const BinEntries& e,
+                int n)
+      : begin(blk.shared().Alloc<graph::EdgeId>(n)),
+        vertex(blk.shared().Alloc<graph::VertexId>(n)),
+        degree(blk.shared().Alloc<uint32_t>(n)) {
+    const sim::LaneMask lanes = loader.active();
+    sim::LaneArray<int> at(sim::kUninit);
+    sim::LaneArray<graph::VertexId> v(sim::kUninit);
+    sim::ForEachLane(lanes, [&](int l) {
+      at[l] = l;
+      v[l] = sim::LaneActive(e.live, l) ? e.vertex[l] : graph::kInvalidVertex;
+    });
+    loader.CountInstr();
+    loader.SharedStore(vertex, at, v);
+    loader.SetActive(e.live);
+    loader.SharedStore(begin, at, e.begin);
+    loader.SharedStore(degree, at, e.degree);
+    loader.SetActive(lanes);
+  }
+
+  /// Entry i as warp `w` reads it (one broadcast load for the vertex, and
+  /// two more when it is live). Returns false for a non-live entry.
+  bool Read(sim::Warp& w, int i, graph::VertexId* v, graph::EdgeId* b,
+            int64_t* deg) {
+    const sim::LaneArray<int> at(i);
+    *v = w.SharedLoad(vertex, at)[sim::FirstLane(w.active())];
+    if (*v == graph::kInvalidVertex) return false;
+    *b = w.SharedLoad(begin, at)[sim::FirstLane(w.active())];
+    *deg = w.SharedLoad(degree, at)[sim::FirstLane(w.active())];
+    return true;
+  }
+};
 
 /// \brief Commit epilogue of the LabelPropagation kernels: lane l of `w`'s
 /// active set writes chosen[l] (kInvalidLabel: no neighbors, keep the

@@ -25,10 +25,11 @@ namespace glp::lp {
 /// Per-row CMS seeds are fixed so results are reproducible.
 inline constexpr uint64_t kCmsSeedBase = 0xc3a5c85c97cb3127ULL;
 
-/// Shared memory one block of the kernel below allocates: the HT's keys and
-/// counts plus the d x w CMS.
+/// Shared memory one block of the kernel below allocates: its staged entry,
+/// the HT's keys and counts plus the d x w CMS.
 inline int64_t HighDegreeSmemBytes(const GlpOptions& opts) {
-  return static_cast<int64_t>(opts.ht_capacity) *
+  return StagedEntryBytes(1) +
+         static_cast<int64_t>(opts.ht_capacity) *
              (sizeof(graph::Label) + sizeof(float)) +
          static_cast<int64_t>(opts.cms_depth) * opts.cms_width * sizeof(float);
 }
@@ -59,11 +60,16 @@ sim::KernelStats RunHighDegreeBlockKernel(
   const int max_probes = std::max(8, h / 16);
 
   return sim::Launch(props, cfg, pool, [=](sim::Block& blk) {
-    const graph::VertexId v = vlist[blk.block_idx()];
+    // The leader lane reads the block's entry, its mark under the frontier
+    // and its list bounds, and stages them for the block's warps.
     sim::Warp leader(0, sim::LaneBit(0), blk.stats());
-    if (!VertexMarked(leader, view, v)) return;
-    const graph::EdgeId begin = view.offsets[v];
-    const int64_t degree = view.offsets[v + 1] - begin;
+    const BinEntries entry =
+        LoadBinEntries(leader, view, vlist, blk.block_idx());
+    if (entry.live == 0) return;
+    StagedEntries staged(blk, leader, entry, 1);
+    const graph::VertexId v = entry.vertex[0];
+    const graph::EdgeId begin = entry.begin[0];
+    const int64_t degree = entry.degree[0];
     const int threads = blk.num_threads();
 
     auto ht_keys = blk.shared().Alloc<graph::Label>(h);
@@ -83,6 +89,14 @@ sim::KernelStats RunHighDegreeBlockKernel(
       }
     });
     blk.Sync();
+    // Each warp reads the staged entry behind the clear's barrier; the
+    // values are the leader's v, begin and degree used below.
+    blk.ForEachWarp([&](sim::Warp& w) {
+      graph::VertexId sv;
+      graph::EdgeId sb;
+      int64_t sd;
+      staged.Read(w, 0, &sv, &sb, &sd);
+    });
 
     // --- Phase 1: single scan of the neighbor list (Procedure 1, lines
     // 1-10), threads strided across the list. ---

@@ -1,10 +1,14 @@
 // One-warp-multi-vertices LabelPropagation kernel for low-degree vertices —
 // the warp-centric scheduling of paper §4.2 (Figure 3).
 //
-// A packing plan assigns (vertex, edge) pairs of several low-degree vertices
-// to the 32 lanes of a warp round, never splitting a vertex across rounds.
-// Peer discovery then uses warp intrinsics exactly as the paper describes:
-//   1. __ballot_sync     -> activemask of lanes holding a valid slot
+// A packing plan cuts the low bin into rounds, each a range [a, b) of
+// consecutive vertex ids whose neighbor lists together fit the 32 lanes of
+// a warp, never splitting a vertex across rounds. The round's lists are one
+// contiguous CSR range, so lane l takes edge offsets[a] + l, and finds its
+// vertex by a 5-step shuffle search over the round's offsets (Gunrock's
+// load-balanced search): no per-lane table is stored or read. Peer
+// discovery then uses warp intrinsics exactly as the paper describes:
+//   1. __ballot_sync     -> activemask of lanes holding an edge
 //   2. __match_any_sync  on vertex ids -> vmask (same-vertex peers)
 //   3. __match_any_sync  on labels, intersected with vmask -> lmask
 //   4. __popc(lmask)     -> the label's frequency
@@ -25,36 +29,42 @@
 
 namespace glp::lp {
 
-/// Lane assignment for the low-degree kernel: rounds of 32 slots, each slot
-/// one lane of a vertex, vertices never straddling rounds. Only the vertex
-/// id is materialized — a lane derives its edge index as
-/// offsets[v] + popc(vmask & lanes_below), since a vertex's slots are
-/// contiguous in lane order and cover its whole neighbor list. Built once
-/// per run (the graph is static) and resident on the device.
+/// One round of the low-degree kernel: the consecutive vertex ids
+/// [begin, end), all in the low bin and none isolated, whose degrees sum to
+/// at most 32.
+struct LowDegreeRound {
+  graph::VertexId begin = 0;
+  graph::VertexId end = 0;
+};
+
+/// Lane assignment for the low-degree kernel: one vertex range per round.
+/// A lane derives its edge and its vertex from the round's offsets, so a
+/// round needs only its two bounds on the device. Built once per run (the
+/// graph is static) and resident on the device.
 struct LowDegreePlan {
-  std::vector<graph::VertexId> slot_vertex;  ///< kInvalidVertex = padding
-  int64_t num_rounds = 0;
+  std::vector<LowDegreeRound> rounds;
   /// Low-bin vertices with zero degree (handled by a trivial map kernel).
   std::vector<graph::VertexId> isolated;
   /// Fraction of lane slots carrying real work (packing efficiency).
   double occupancy = 0;
 
   uint64_t device_bytes() const {
-    return slot_vertex.size() * sizeof(graph::VertexId);
+    return rounds.size() * sizeof(LowDegreeRound);
   }
 };
 
-/// Greedy first-fit packing of the low bin. Vertices are packed in *id*
-/// order so that the slot_edge sequence walks the CSR nearly contiguously —
-/// the neighbor-id gathers of a round then coalesce (packing by degree
-/// instead scatters each lane into a distant CSR range and costs one
-/// transaction per lane).
+/// Greedy first-fit packing of the low bin in id order: a round grows by
+/// the next id while that vertex's list still fits its lanes, and closes at
+/// an id gap (a vertex outside the bin, or an isolated one). Packing in id
+/// order is what makes a round's lists one contiguous CSR range; the
+/// neighbor-id reads of a round then coalesce (packing by degree instead
+/// scatters each lane into a distant CSR range).
 inline LowDegreePlan BuildLowDegreePlan(
     const graph::Graph& g, const std::vector<graph::VertexId>& low_vertices) {
   LowDegreePlan plan;
   std::vector<graph::VertexId> by_id(low_vertices);
   std::sort(by_id.begin(), by_id.end());
-  int fill = sim::kWarpSize;  // force a fresh round on first vertex
+  int fill = 0;  // edges of the open round; no round is open at first
   int64_t used_slots = 0;
   for (graph::VertexId v : by_id) {
     const int deg = static_cast<int>(g.degree(v));
@@ -62,28 +72,19 @@ inline LowDegreePlan BuildLowDegreePlan(
       plan.isolated.push_back(v);
       continue;
     }
-    if (fill + deg > sim::kWarpSize) {
-      // Pad the current round and open a new one.
-      while (fill < sim::kWarpSize) {
-        plan.slot_vertex.push_back(graph::kInvalidVertex);
-        ++fill;
-      }
+    if (plan.rounds.empty() || plan.rounds.back().end != v ||
+        fill + deg > sim::kWarpSize) {
+      plan.rounds.push_back({v, v});
       fill = 0;
     }
-    for (int i = 0; i < deg; ++i) plan.slot_vertex.push_back(v);
+    plan.rounds.back().end = v + 1;
     fill += deg;
     used_slots += deg;
   }
-  while (fill < sim::kWarpSize && fill > 0) {
-    plan.slot_vertex.push_back(graph::kInvalidVertex);
-    ++fill;
-  }
-  plan.num_rounds =
-      static_cast<int64_t>(plan.slot_vertex.size()) / sim::kWarpSize;
-  plan.occupancy = plan.slot_vertex.empty()
-                       ? 1.0
-                       : static_cast<double>(used_slots) /
-                             static_cast<double>(plan.slot_vertex.size());
+  const auto slots =
+      static_cast<double>(plan.rounds.size()) * sim::kWarpSize;
+  plan.occupancy =
+      plan.rounds.empty() ? 1.0 : static_cast<double>(used_slots) / slots;
   return plan;
 }
 
@@ -99,63 +100,119 @@ sim::KernelStats RunLowDegreeWarpKernel(const sim::DeviceProps& props,
                                         sim::KernelStats* commit_stats =
                                             nullptr) {
   const int warps_per_block = threads_per_block / sim::kWarpSize;
-  const int64_t rounds =
-      static_cast<int64_t>(plan.slot_vertex.size()) / sim::kWarpSize;
+  const auto rounds = static_cast<int64_t>(plan.rounds.size());
   if (rounds == 0) return sim::KernelStats{};
   sim::LaunchConfig cfg;
   cfg.threads_per_block = threads_per_block;
   cfg.num_blocks = (rounds + warps_per_block - 1) / warps_per_block;
-  const graph::VertexId* slot_vertex = plan.slot_vertex.data();
+  const LowDegreeRound* round_of = plan.rounds.data();
 
   return sim::Launch(props, cfg, pool, [=](sim::Block& blk) {
     blk.ForEachWarp([&](sim::Warp& w) {
       const int64_t round =
           blk.block_idx() * warps_per_block + w.warp_id();
       if (round >= rounds) return;
-      const int64_t base = round * sim::kWarpSize;
 
-      // Load this round's slot assignment (fully coalesced).
-      const sim::LaneArray<graph::VertexId> vid =
-          w.GatherContig(slot_vertex, base);
+      // The round's vertex range: one uniform load.
+      const LowDegreeRound r =
+          w.Gather(round_of, sim::LaneArray<int64_t>(round))[0];
+      const graph::VertexId a = r.begin;
+      const int nv = static_cast<int>(r.end - r.begin);  // 1..32
+      // Lane i stands for vertex a + i in the range reads below.
+      const sim::LaneMask vertex_lanes =
+          nv >= sim::kWarpSize ? sim::kFullMask : ((1u << nv) - 1u);
 
-      // Step 1: __ballot_sync over slot validity.
-      sim::LaneArray<int> valid_pred(sim::kUninit);
-      sim::ForEachLane(sim::kFullMask, [&](int l) {
-        valid_pred[l] = vid[l] != graph::kInvalidVertex ? 1 : 0;
-      });
-      sim::LaneMask active = w.BallotSync(valid_pred);
-      if (active == 0) return;
-      w.SetActive(active);
-      // Frontier: a vertex's lanes are all marked or all not.
+      // Frontier: the round's marks are one contiguous read, and a round
+      // with no marked vertex ends here.
+      sim::LaneMask marked = vertex_lanes;
       if (view.marks_in != nullptr) {
-        active = MarkedLanes(w, view, vid);
-        if (active == 0) return;
-        w.SetActive(active);
+        w.SetActive(vertex_lanes);
+        const sim::LaneArray<uint32_t> mark =
+            w.GatherContig(view.marks_in, a);
+        sim::LaneArray<int> pred(0);
+        sim::ForEachLane(vertex_lanes,
+                         [&](int l) { pred[l] = mark[l] == view.stamp; });
+        w.CountInstr();
+        marked = w.BallotSync(pred);
+        if (marked == 0) {
+          w.SetActive(sim::kFullMask);
+          return;
+        }
       }
 
-      // Step 2 (early): group lanes by vertex — also yields each lane's rank
-      // within its vertex, from which the edge index is derived without a
-      // materialized slot_edge array.
-      const sim::LaneArray<sim::LaneMask> vmask = w.MatchAnySync(vid, active);
+      // The round's offsets, one contiguous read: nv + 1 of them, except
+      // that a 32-vertex round has 33 and its lanes read the first 32 — its
+      // 32 non-isolated vertices share 32 edge slots, so each has degree 1
+      // and the round ends at offsets[a] + 32.
+      const sim::LaneMask offset_lanes =
+          nv + 1 >= sim::kWarpSize ? sim::kFullMask
+                                   : ((1u << (nv + 1)) - 1u);
+      w.SetActive(offset_lanes);
+      const sim::LaneArray<graph::EdgeId> off =
+          w.GatherContig(view.offsets, a);
+      const graph::EdgeId base = w.ShflSync(off, 0)[0];
+      const int num_edges =
+          nv >= sim::kWarpSize
+              ? sim::kWarpSize
+              : static_cast<int>(w.ShflSync(off, nv)[0] - base);
 
-      // Each vertex's lanes cover its full neighbor list in lane order:
-      // edge = offsets[v] + rank(lane within vmask).
-      sim::LaneArray<int64_t> voff_idx(sim::kUninit);
-      sim::ForEachLane(active, [&](int l) { voff_idx[l] = vid[l]; });
-      const sim::LaneArray<graph::EdgeId> voff =
-          w.Gather(view.offsets, voff_idx);
-      sim::LaneArray<graph::EdgeId> eidx(sim::kUninit);
-      sim::ForEachLane(active, [&](int l) {
-        const int rank = sim::Popc(vmask[l] & (sim::LaneBit(l) - 1u));
-        eidx[l] = voff[l] + rank;
-      });
-      w.stats()->intrinsic_ops += 1;  // popc for the rank
+      // Step 1: the lanes holding an edge; lane l holds edge base + l.
+      sim::LaneArray<int> has_edge(0);
+      sim::ForEachLane(sim::kFullMask,
+                       [&](int l) { has_edge[l] = l < num_edges; });
+      w.SetActive(sim::kFullMask);
+      w.CountInstr();
+      const sim::LaneMask edge_lanes = w.BallotSync(has_edge);
+
+      // Lane l's vertex is the last one whose list starts at or before l: a
+      // 5-step binary search over the starts held by the vertex lanes, one
+      // shuffle, one add and one compare-select per step. The lanes of a
+      // vertex are then one contiguous run, so the simulator walks the
+      // starts once to fill in each lane's vertex and run mask, and charges
+      // the search's shuffles.
+      sim::LaneArray<int> pos(sim::kUninit);
+      sim::LaneArray<sim::LaneMask> run(sim::kUninit);
+      for (int i = 0; i < nv; ++i) {
+        const int first = static_cast<int>(off[i] - base);
+        const int last = i + 1 < nv ? static_cast<int>(off[i + 1] - base)
+                                    : num_edges;
+        const sim::LaneMask lanes_of_i =
+            (last >= sim::kWarpSize ? sim::kFullMask
+                                    : ((1u << last) - 1u)) &
+            ~((1u << first) - 1u);
+        for (int l = first; l < last; ++l) {
+          pos[l] = i;
+          run[l] = lanes_of_i;
+        }
+      }
+      w.CountInstr();  // each vertex lane's start, off[l] - base
+      w.stats()->intrinsic_ops += 5;
+      w.CountInstr(3 * 5);
+      sim::LaneMask active = edge_lanes;
+      if (view.marks_in != nullptr) {
+        // A vertex's lanes are all marked or all not.
+        active = 0;
+        sim::ForEachLane(edge_lanes, [&](int l) {
+          if (sim::LaneActive(marked, pos[l])) active |= sim::LaneBit(l);
+        });
+        w.CountInstr();
+      }
+      w.SetActive(active);
+      sim::LaneArray<graph::VertexId> vid;
+      sim::ForEachLane(active, [&](int l) { vid[l] = a + pos[l]; });
       w.CountInstr();
 
-      // Load the assigned neighbor and its label.
+      // Step 2: __match_any_sync on the vertex ids groups the lanes by
+      // vertex: each vertex's run of lanes, less its unmarked ones.
+      w.stats()->intrinsic_ops += 1;
+      w.CountInstr();
+      sim::LaneArray<sim::LaneMask> vmask(0);
+      sim::ForEachLane(active, [&](int l) { vmask[l] = run[l] & active; });
+
+      // Load the assigned neighbor (one contiguous range) and its label.
       const sim::LaneArray<graph::VertexId> nbr =
-          w.Gather(view.neighbors, eidx);
-      sim::LaneArray<int64_t> lidx(sim::kUninit);
+          w.GatherContig(view.neighbors, base);
+      sim::LaneArray<int64_t> lidx;
       sim::ForEachLane(active, [&](int l) { lidx[l] = nbr[l]; });
       const sim::LaneArray<graph::Label> lbl = w.Gather(view.labels, lidx);
 

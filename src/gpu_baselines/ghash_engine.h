@@ -86,12 +86,14 @@ class GHashEngine : public Engine {
       // One warp per vertex regardless of degree — tiny vertices waste lanes.
       if (!bins.low.empty()) {
         acc.AddLaunch(RunWarpPerVertexSmemKernel(device_, pool, view,
-                                                 bins.low, 64, 256),
+                                                 bins.low, 64, 256, nullptr,
+                                                 WarpCommit::kPerWarp),
                       prof::Phase::kLowBin);
       }
       if (!bins.mid.empty()) {
         acc.AddLaunch(RunWarpPerVertexSmemKernel(device_, pool, view,
-                                                 bins.mid, 256, 256),
+                                                 bins.mid, 256, 256, nullptr,
+                                                 WarpCommit::kPerWarp),
                       prof::Phase::kMidBin);
       }
       if (!bins.high.empty()) {

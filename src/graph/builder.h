@@ -23,7 +23,10 @@ struct Edge {
 ///
 /// Build options: `symmetrize` inserts the reverse of every edge (undirected
 /// semantics — the form all Table 2 datasets use for LP), `dedupe` removes
-/// parallel edges, and self-loops are always dropped.
+/// parallel edges, and self-loops are always dropped. Every built neighbour
+/// list is in ascending id order, parallel edges adjacent, whatever order
+/// the edges were added in: the same edge multiset always builds the same
+/// CSR.
 class GraphBuilder {
  public:
   explicit GraphBuilder(VertexId num_vertices) : num_vertices_(num_vertices) {}
@@ -59,6 +62,10 @@ class GraphBuilder {
   Graph BuildCollapsed(bool symmetrize = true);
 
  private:
+  /// Places the pending edges (consumed) into ascending neighbour lists.
+  void Place(bool symmetrize, std::vector<EdgeId>* offsets,
+             std::vector<VertexId>* neighbors);
+
   VertexId num_vertices_;
   std::vector<Edge> edges_;
 };

@@ -18,6 +18,14 @@ namespace glp::graph {
 /// gathers the labels of its in-neighbors). For graphs built as undirected
 /// the lists are symmetrized, so in- and out-neighborhoods coincide.
 ///
+/// List order: every producer in the repository (GraphBuilder, LoadBinary
+/// restoring a saved CSR, and the monotone row copies of the incremental
+/// dirty subgraph) emits each neighbor list in ascending id order, parallel
+/// edges adjacent. The constructor does not check it. LP's
+/// labels never depend on it, but its cost does: the 32 lanes of a warp
+/// gather the labels of 32 ascending ids, which share sectors wherever ids
+/// cluster, and the low-degree kernel's rounds read one contiguous range.
+///
 /// Weighted graphs carry one float per CSR entry; the canonical producer is
 /// GraphBuilder::BuildCollapsed, which merges parallel edges into
 /// multiplicity weights — same LP semantics as the multigraph at a fraction

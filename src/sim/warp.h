@@ -293,6 +293,15 @@ class Warp {
     return out;
   }
 
+  /// Per-lane store to a shared array: s[idx[lane]] = val[lane] for active
+  /// lanes, charged like SharedLoad.
+  template <typename T, typename Index>
+  void SharedStore(SharedSpan<T>& s, const LaneArray<Index>& idx,
+                   const LaneArray<T>& val) {
+    ForEachLane(active_, [&](int lane) { s.data[idx[lane]] = val[lane]; });
+    ChargeSharedAccess(s, idx, sizeof(T));
+  }
+
   /// Contiguous load: out[lane] = s[start + lane] for active lanes (table
   /// clears and scans).
   template <typename T>
@@ -380,15 +389,17 @@ class Warp {
     uint64_t words[kWarpSize];
     int n = 0;
     uint32_t banks = 0;
+    bool broadcast = true;
     ForEachLane(active_, [&](int lane) {
       const uint64_t byte =
           s.byte_offset + static_cast<uint64_t>(idx[lane]) * elem_bytes;
       words[n] = byte / 4;
       banks |= 1u << (words[n] % kWarpSize);
+      broadcast &= words[n] == words[0];
       ++n;
     });
-    // Every lane in its own bank: one word per bank, no replay.
-    if (Popc(banks) == n) return;
+    // Every lane in its own bank, or every lane on one word: no replay.
+    if (Popc(banks) == n || broadcast) return;
     // Otherwise the replay count is the largest number of distinct words
     // mapped to one bank, minus the first pass.
     DistinctSet seen;

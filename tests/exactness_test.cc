@@ -613,6 +613,39 @@ TEST_F(ServeExactnessTest, IncrementalTicksEqualColdDetection) {
   }
 }
 
+TEST_F(ServeExactnessTest, OwnerCsrRunsLikeTheSnapshot) {
+  // A one-shard cold server builds each tick's CSR from its interned edges;
+  // both it and SlidingWindow::Snapshot list neighbours in ascending id
+  // order, so the same detection config counts the same device work on
+  // both, bit for bit.
+  cfg_.tick.incremental = false;
+  serve::StreamServer server(cfg_, 1);
+  int ticks = 0;
+  server.Subscribe([&](const serve::TickResult& t) {
+    SCOPED_TRACE(::testing::Message() << "window end " << t.window_end);
+    ThreadPool one(1);
+    lp::RunContext ctx;
+    ctx.pool = &one;
+    const graph::SlidingWindow window(stream_.edges);
+    auto r = pipeline::DetectOnSnapshot(
+        window.Snapshot(t.window_start, t.window_end), cfg_.detect, ctx,
+        stream_.seeds, &stream_, t.window_start, t.window_end);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const lp::RunResult& want = r.value().lp;
+    const lp::RunResult& got = t.detection.lp;
+    EXPECT_EQ(got.labels, want.labels);
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.simulated_seconds, want.simulated_seconds);
+    EXPECT_EQ(0, std::memcmp(&got.stats, &want.stats, sizeof(got.stats)));
+    ++ticks;
+  });
+  ASSERT_TRUE(server.Start().ok());
+  Feed(&server);
+  server.Stop();
+  ASSERT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+  EXPECT_GE(ticks, 6);
+}
+
 TEST_F(ServeExactnessTest, LiveResizeEqualsColdDetection) {
   serve::StreamServer server(cfg_, 1);
   int ticks = 0;

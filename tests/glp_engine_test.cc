@@ -21,8 +21,50 @@ using graph::Edge;
 using graph::Graph;
 using graph::VertexId;
 
+/// Checks the plan's invariants on `g` for `low`: every round is a run of
+/// consecutive non-isolated low-bin ids whose degrees fit a warp; the
+/// kernel's lane search over a round's offsets (lane l takes the last vertex
+/// whose list starts at or before l) covers every low-bin edge exactly once.
+void CheckPlan(const Graph& g, const std::vector<VertexId>& low,
+               const LowDegreePlan& plan) {
+  std::vector<char> in_low(g.num_vertices(), 0);
+  for (VertexId v : low) in_low[v] = 1;
+  std::vector<int> edge_seen(g.num_edges(), 0);
+  std::vector<int> vertex_rounds(g.num_vertices(), 0);
+  for (const LowDegreeRound& r : plan.rounds) {
+    ASSERT_LT(r.begin, r.end);
+    ASSERT_LE(r.end - r.begin, static_cast<VertexId>(sim::kWarpSize));
+    for (VertexId v = r.begin; v < r.end; ++v) {
+      ASSERT_TRUE(in_low[v]) << "vertex " << v << " is not in the low bin";
+      ASSERT_GT(g.degree(v), 0) << "isolated vertex " << v << " in a round";
+      ++vertex_rounds[v];
+    }
+    const graph::EdgeId base = g.offset(r.begin);
+    const int64_t edges = g.offset(r.end - 1) + g.degree(r.end - 1) - base;
+    ASSERT_LE(edges, sim::kWarpSize);
+    for (int lane = 0; lane < edges; ++lane) {
+      VertexId v = r.begin;
+      while (v + 1 < r.end && g.offset(v + 1) - base <= lane) ++v;
+      ASSERT_LT(lane, g.offset(v) - base + g.degree(v));
+      edge_seen[base + lane]++;
+    }
+  }
+  int64_t expected = 0;
+  for (VertexId v : low) {
+    expected += g.degree(v);
+    EXPECT_EQ(vertex_rounds[v], g.degree(v) > 0 ? 1 : 0) << "vertex " << v;
+  }
+  int64_t covered = 0;
+  for (int c : edge_seen) {
+    EXPECT_LE(c, 1);
+    covered += c;
+  }
+  EXPECT_EQ(covered, expected);
+  EXPECT_EQ(plan.device_bytes(), plan.rounds.size() * sizeof(LowDegreeRound));
+}
+
 TEST(LowDegreePlanTest, PacksMultipleVerticesPerRound) {
-  // 16 vertices of degree 4 -> 64 slots -> 2 full rounds.
+  // 8 consecutive vertices of degree 8 -> 64 slots -> 2 full rounds.
   std::vector<Edge> edges;
   for (VertexId v = 0; v < 16; ++v) {
     for (VertexId k = 0; k < 4; ++k) {
@@ -33,68 +75,106 @@ TEST(LowDegreePlanTest, PacksMultipleVerticesPerRound) {
   std::vector<VertexId> low;
   for (VertexId v = 16; v < 24; ++v) low.push_back(v);  // in-degree 8 each
   LowDegreePlan plan = BuildLowDegreePlan(g, low);
-  EXPECT_EQ(plan.num_rounds, 2);
+  ASSERT_EQ(plan.rounds.size(), 2u);
+  EXPECT_EQ(plan.rounds[0].begin, 16u);
+  EXPECT_EQ(plan.rounds[0].end, 20u);
+  EXPECT_EQ(plan.rounds[1].begin, 20u);
+  EXPECT_EQ(plan.rounds[1].end, 24u);
   EXPECT_DOUBLE_EQ(plan.occupancy, 1.0);
   EXPECT_TRUE(plan.isolated.empty());
+  CheckPlan(g, low, plan);
 }
 
 TEST(LowDegreePlanTest, VerticesNeverStraddleRounds) {
+  // Each non-isolated low vertex lies in exactly one round, a run of
+  // consecutive low-bin ids (CheckPlan).
   Graph g = graph::GenerateChungLu(
       {.num_vertices = 512, .num_edges = 2048, .exponent = 2.1, .seed = 6});
   graph::DegreeBins bins = graph::ComputeDegreeBins(g);
-  LowDegreePlan plan = BuildLowDegreePlan(g, bins.low);
-  for (size_t i = 0; i < plan.slot_vertex.size(); ++i) {
-    if (plan.slot_vertex[i] == graph::kInvalidVertex) continue;
-    // All slots of one vertex lie in the same round.
-    const int64_t round = static_cast<int64_t>(i) / sim::kWarpSize;
-    const VertexId v = plan.slot_vertex[i];
-    // Walk this vertex's contiguous slot range.
-    size_t j = i;
-    while (j + 1 < plan.slot_vertex.size() && plan.slot_vertex[j + 1] == v) {
-      ++j;
-    }
-    EXPECT_EQ(static_cast<int64_t>(j) / sim::kWarpSize, round)
-        << "vertex " << v << " straddles rounds";
-    i = j;
-  }
+  ASSERT_FALSE(bins.mid.empty());  // the low bin has id gaps
+  CheckPlan(g, bins.low, BuildLowDegreePlan(g, bins.low));
+}
+
+TEST(LowDegreePlanTest, IdGapsCloseRounds) {
+  // Low vertices 0, 1, 3, 4 (2 is left out of the bin): two rounds, though
+  // all four lists fit one warp.
+  Graph g = BuildGraph(6, {{0, 5}, {1, 5}, {2, 5}, {3, 5}, {4, 5}});
+  const std::vector<VertexId> low = {4, 0, 3, 1};
+  LowDegreePlan plan = BuildLowDegreePlan(g, low);
+  ASSERT_EQ(plan.rounds.size(), 2u);
+  EXPECT_EQ(plan.rounds[0].begin, 0u);
+  EXPECT_EQ(plan.rounds[0].end, 2u);
+  EXPECT_EQ(plan.rounds[1].begin, 3u);
+  EXPECT_EQ(plan.rounds[1].end, 5u);
+  CheckPlan(g, low, plan);
 }
 
 TEST(LowDegreePlanTest, IsolatedVerticesSeparated) {
-  Graph g = BuildGraph(4, {{0, 1}});  // 2, 3 isolated
-  LowDegreePlan plan = BuildLowDegreePlan(g, {0, 1, 2, 3});
-  EXPECT_EQ(plan.isolated.size(), 2u);
+  Graph g = BuildGraph(5, {{0, 1}, {3, 4}});  // 2 isolated, between rounds
+  const std::vector<VertexId> low = {0, 1, 2, 3, 4};
+  LowDegreePlan plan = BuildLowDegreePlan(g, low);
+  EXPECT_EQ(plan.isolated, std::vector<VertexId>{2});
+  ASSERT_EQ(plan.rounds.size(), 2u);
+  EXPECT_EQ(plan.rounds[0].end, 2u);
+  EXPECT_EQ(plan.rounds[1].begin, 3u);
+  CheckPlan(g, low, plan);
 }
 
 TEST(LowDegreePlanTest, PlanCoversEveryEdgeExactlyOnce) {
   Graph g = graph::GenerateGrid2d(12, 12);
   graph::DegreeBins bins = graph::ComputeDegreeBins(g);
-  LowDegreePlan plan = BuildLowDegreePlan(g, bins.low);
-  // Reconstruct each slot's edge index the way the kernel does: a vertex's
-  // slots are contiguous within a round and rank within them is the edge
-  // offset.
-  std::vector<int> edge_seen(g.num_edges(), 0);
-  for (size_t i = 0; i < plan.slot_vertex.size();) {
-    const VertexId v = plan.slot_vertex[i];
-    if (v == graph::kInvalidVertex) {
-      ++i;
-      continue;
-    }
-    size_t j = i;
-    while (j < plan.slot_vertex.size() && plan.slot_vertex[j] == v) ++j;
-    const int64_t run = static_cast<int64_t>(j - i);
-    ASSERT_EQ(run, g.degree(v)) << "vertex " << v << " slot run mismatch";
-    for (int64_t k = 0; k < run; ++k) edge_seen[g.offset(v) + k]++;
-    i = j;
+  CheckPlan(g, bins.low, BuildLowDegreePlan(g, bins.low));
+}
+
+TEST(LowDegreePlanTest, ThirtyOneVertexRoundMatchesReference) {
+  // 30 vertices of degree 1 and one of degree 2 fill the 32 lanes with 31
+  // vertices, whose 32 offsets fill the lanes too.
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v < 30; ++v) edges.push_back({v, 40 + v});
+  edges.push_back({30, 31});
+  edges.push_back({30, 32});
+  Graph g = BuildGraph(70, edges);
+  std::vector<VertexId> low;
+  for (VertexId v = 0; v < 70; ++v) low.push_back(v);
+  LowDegreePlan plan = BuildLowDegreePlan(g, low);
+  ASSERT_FALSE(plan.rounds.empty());
+  EXPECT_EQ(plan.rounds[0].begin, 0u);
+  EXPECT_EQ(plan.rounds[0].end, 31u);
+  CheckPlan(g, low, plan);
+
+  ClassicVariant variant;
+  variant.Init(g, RunConfig{});
+  auto view = DeviceView<ClassicVariant>::Of(g, variant);
+  RunLowDegreeWarpKernel(sim::DeviceProps::TitanV(), nullptr, view, plan,
+                         256);
+  for (VertexId v = 0; v < 30; ++v) {
+    EXPECT_EQ(variant.next_labels()[v], 40 + v) << "vertex " << v;
   }
-  int64_t covered = 0;
-  for (int c : edge_seen) {
-    EXPECT_LE(c, 1);
-    covered += c;
+  EXPECT_EQ(variant.next_labels()[30], 31u);
+}
+
+TEST(LowDegreePlanTest, ThirtyTwoVertexRoundMatchesReference) {
+  // A perfect matching: 64 degree-1 vertices pack into two rounds of 32
+  // vertices, each with 33 offsets, of which the lanes read 32.
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v < 64; v += 2) edges.push_back({v, v + 1});
+  Graph g = BuildGraph(64, edges);
+  std::vector<VertexId> low(64);
+  for (VertexId v = 0; v < 64; ++v) low[v] = v;
+  LowDegreePlan plan = BuildLowDegreePlan(g, low);
+  ASSERT_EQ(plan.rounds.size(), 2u);
+  EXPECT_EQ(plan.rounds[0].end - plan.rounds[0].begin, 32u);
+  EXPECT_EQ(plan.rounds[1].end - plan.rounds[1].begin, 32u);
+  CheckPlan(g, low, plan);
+
+  ClassicVariant variant;
+  variant.Init(g, RunConfig{});
+  auto view = DeviceView<ClassicVariant>::Of(g, variant);
+  RunLowDegreeWarpKernel(sim::DeviceProps::TitanV(), nullptr, view, plan,
+                         256);
+  for (VertexId v = 0; v < 64; ++v) {
+    EXPECT_EQ(variant.next_labels()[v], v ^ 1u) << "vertex " << v;
   }
-  // Every edge of a low-bin vertex appears exactly once.
-  int64_t expected = 0;
-  for (VertexId v : bins.low) expected += g.degree(v);
-  EXPECT_EQ(covered, expected);
 }
 
 TEST(GlpEngineTest, MatchesSeqOnAllVariants) {

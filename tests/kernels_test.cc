@@ -90,6 +90,41 @@ TEST_P(KernelSeedTest, LowDegreeWarpKernelMatchesReference) {
   CheckAgainstReference(g, covered, variant.next_labels(), variant);
 }
 
+TEST_P(KernelSeedTest, LowDegreeWarpKernelSkipsUnmarkedVertices) {
+  Graph g = graph::GenerateChungLu({.num_vertices = 512,
+                                    .num_edges = 2048,
+                                    .exponent = 2.4,
+                                    .seed = static_cast<uint64_t>(GetParam())});
+  ClassicVariant variant;
+  RunConfig cfg;
+  variant.Init(g, cfg);
+  const Label kUntouched = 1u << 20;
+  std::fill(variant.next_labels().begin(), variant.next_labels().end(),
+            kUntouched);
+  const auto bins = graph::ComputeDegreeBins(g);
+  const LowDegreePlan plan = BuildLowDegreePlan(g, bins.low);
+  std::vector<uint32_t> marks_in(g.num_vertices(), 0);
+  std::vector<uint32_t> counters(3, 0);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    marks_in[v] = (v * 2654435761u >> 7) % 3 == 0 ? 4 : 3;
+  }
+  auto view = DeviceView<ClassicVariant>::Of(g, variant);
+  view.counters = counters.data();
+  view.stamp = 4;
+  view.marks_in = marks_in.data();
+  RunLowDegreeWarpKernel(sim::DeviceProps::TitanV(), nullptr, view, plan, 256);
+  std::vector<VertexId> covered;
+  for (VertexId v : bins.low) {
+    if (g.degree(v) == 0) continue;
+    if (marks_in[v] == 4) {
+      covered.push_back(v);
+    } else {
+      EXPECT_EQ(variant.next_labels()[v], kUntouched) << "vertex " << v;
+    }
+  }
+  CheckAgainstReference(g, covered, variant.next_labels(), variant);
+}
+
 TEST_P(KernelSeedTest, ThreadPerVertexMatchesReference) {
   Graph g = graph::GenerateChungLu({.num_vertices = 256,
                                     .num_edges = 1024,
@@ -199,6 +234,63 @@ TEST_P(KernelSeedTest, HighDegreeKernelWithLlpAux) {
   RunHighDegreeBlockKernel(sim::DeviceProps::TitanV(), nullptr, view, all,
                            opts, nullptr);
   CheckAgainstReference(g, all, variant.next_labels(), variant);
+}
+
+TEST(WarpPerVertexKernelTest, BatchedCommitMixesMarkedAndUnmarked) {
+  // 64 vertices of degree 40 (a circulant graph), eight to a block: every
+  // block holds marked and unmarked vertices. The block's one commit warp
+  // stores the reference label for the marked ones only, and their warps
+  // push marks to every neighbour from the ids they hold.
+  const VertexId n = 64;
+  std::vector<graph::Edge> edges;
+  for (VertexId v = 0; v < n; ++v) {
+    for (VertexId k = 1; k <= 20; ++k) edges.push_back({v, (v + k) % n});
+  }
+  const Graph g = graph::BuildGraph(n, edges);
+  RunConfig cfg;
+  cfg.initial_labels.resize(n);
+  for (VertexId v = 0; v < n; ++v) cfg.initial_labels[v] = (v * 7) % 5;
+  ClassicVariant variant;
+  variant.Init(g, cfg);
+  const Label kUntouched = 1000;
+  std::fill(variant.next_labels().begin(), variant.next_labels().end(),
+            kUntouched);
+  std::vector<VertexId> all(n);
+  for (VertexId v = 0; v < n; ++v) all[v] = v;
+
+  std::vector<uint32_t> marks_in(n, 0);
+  std::vector<uint32_t> marks_out(n, 0);
+  std::vector<uint32_t> counters(3, 0);
+  auto marked = [](VertexId v) { return v % 3 != 1; };
+  for (VertexId v = 0; v < n; ++v) marks_in[v] = marked(v) ? 2 : 0;
+  auto view = DeviceView<ClassicVariant>::Of(g, variant);
+  view.counters = counters.data();
+  view.changed_slot = 0;
+  view.pushed_slot = 2;
+  view.stamp = 2;
+  view.marks_in = marks_in.data();
+  view.marks_out = marks_out.data();
+  const sim::KernelStats s = RunWarpPerVertexSmemKernel(
+      sim::DeviceProps::TitanV(), nullptr, view, all, 128, 256);
+
+  const auto expected = ReferencePass(g, variant, all);
+  std::vector<uint32_t> want_marks(n, 0);
+  uint32_t pushed = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    if (!marked(v)) {
+      EXPECT_EQ(variant.next_labels()[v], kUntouched) << "vertex " << v;
+      continue;
+    }
+    EXPECT_EQ(variant.next_labels()[v], expected[v]) << "vertex " << v;
+    // Every marked vertex differs from the Lnext it overwrites: it pushes.
+    pushed += static_cast<uint32_t>(g.degree(v));
+    for (VertexId u : g.neighbors(v)) want_marks[u] = 3;
+  }
+  EXPECT_EQ(marks_out, want_marks);
+  EXPECT_EQ(counters[2], pushed);
+  // Per block: the barrier after staging, the one after the winners, and
+  // the one that hands the pusher mask to the warps.
+  EXPECT_EQ(s.block_syncs, 3u * (n / 8));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelSeedTest, ::testing::Range(1, 6));

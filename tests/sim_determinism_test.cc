@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -35,6 +36,7 @@
 #include "glp/variants/slp.h"
 #include "gpu_baselines/ghash_engine.h"
 #include "gpu_baselines/gsort_engine.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/sliding_window.h"
 #include "pipeline/transactions.h"
@@ -90,7 +92,9 @@ class HeapPerturbation {
   std::vector<std::unique_ptr<char[]>> hold_;
 };
 
-Graph OrganicWindow() {
+/// One window of the synthetic transaction stream: a multigraph, or with
+/// `collapse` a weighted graph.
+Graph OrganicWindowGraph(bool collapse) {
   pipeline::TransactionConfig tc;
   tc.num_buyers = 1000;
   tc.num_items = 250;
@@ -99,8 +103,11 @@ Graph OrganicWindow() {
   tc.seed = 1;
   const pipeline::TransactionStream stream = pipeline::GenerateTransactions(tc);
   const graph::SlidingWindow window(stream.edges);
-  return window.Snapshot(7.0, 14.0).graph;
+  graph::SlidingWindow::Scratch scratch;
+  return window.Snapshot(7.0, 14.0, &scratch, collapse).graph;
 }
+
+Graph OrganicWindow() { return OrganicWindowGraph(/*collapse=*/false); }
 
 Graph SmallRmat() {
   return graph::GenerateRmat(
@@ -148,19 +155,19 @@ const std::map<std::string, std::string>& Goldens() {
        " al=845539 tl=3082848 kl=1 be=640 gs=4 it=5"
        " labels=fd9aa60100e7a893"},
       {"GlpSmemRmat",
-       "gt=64000 gb=527920 ga=1329 gc=0 sa=43120 sb=0 sat=123709"
-       " in=131284 io=39040 br=110 bs=165"
-       " al=1811488 tl=4201088 kl=1 be=695 gs=4 it=5"
+       "gt=61410 gb=630320 ga=294 gc=0 sa=67425 sb=0 sat=123709"
+       " in=136599 io=30190 br=110 bs=1445"
+       " al=2395143 tl=4371168 kl=1 be=695 gs=4 it=5"
        " labels=fd9aa60100e7a893"},
       {"GlpSmemWarpRmat",
-       "gt=58175 gb=887680 ga=468 gc=0 sa=13920 sb=0 sat=67227"
-       " in=53135 io=19925 br=110 bs=165"
-       " al=1088775 tl=1700320 kl=1 be=240 gs=4 it=5"
+       "gt=57970 gb=964460 ga=567 gc=0 sa=17125 sb=0 sat=67227"
+       " in=92809 io=33545 br=110 bs=265"
+       " al=2009259 tl=2969888 kl=1 be=295 gs=4 it=5"
        " labels=fd9aa60100e7a893"},
       {"GlpTightSketchRmat",
-       "gt=60957 gb=954208 ga=3599 gc=41 sa=12954 sb=463 sat=77734"
-       " in=53200 io=19925 br=121 bs=176"
-       " al=1071308 tl=1702400 kl=1 be=240 gs=4 it=5"
+       "gt=60752 gb=1030988 ga=3698 gc=41 sa=16159 sb=463 sat=77734"
+       " in=92874 io=33545 br=121 bs=276"
+       " al=1991792 tl=2971968 kl=1 be=295 gs=4 it=5"
        " labels=fd9aa60100e7a893"},
       {"GHashRmat",
        "gt=71365 gb=906820 ga=6353 gc=16381 sa=41360 sb=0 sat=101669"
@@ -178,19 +185,19 @@ const std::map<std::string, std::string>& Goldens() {
        " al=565568 tl=2425600 kl=1 be=480 gs=4 it=5"
        " labels=1c27b91ae8a6c8e8"},
       {"GlpSmemCommunities",
-       "gt=35285 gb=280320 ga=3289 gc=0 sa=15360 sb=0 sat=64885"
-       " in=83480 io=26880 br=0 bs=0"
-       " al=811328 tl=2671360 kl=1 be=480 gs=4 it=5"
+       "gt=31445 gb=357120 ga=479 gc=0 sa=32640 sb=0 sat=64885"
+       " in=84030 io=20160 br=0 bs=960"
+       " al=1219398 tl=2688960 kl=1 be=480 gs=4 it=5"
        " labels=1c27b91ae8a6c8e8"},
       {"GlpSmemWarpCommunities",
-       "gt=23875 gb=670080 ga=1061 gc=0 sa=0 sb=0 sat=0"
-       " in=22961 io=13140 br=0 bs=0"
-       " al=487880 tl=734752 kl=1 be=140 gs=4 it=5"
+       "gt=20870 gb=600120 ga=1061 gc=0 sa=0 sb=0 sat=0"
+       " in=43766 io=19710 br=0 bs=0"
+       " al=1067165 tl=1400512 kl=1 be=140 gs=4 it=5"
        " labels=1c27b91ae8a6c8e8"},
       {"GlpTightSketchCommunities",
-       "gt=23875 gb=670080 ga=1061 gc=0 sa=0 sb=0 sat=0"
-       " in=22961 io=13140 br=0 bs=0"
-       " al=487880 tl=734752 kl=1 be=140 gs=4 it=5"
+       "gt=20870 gb=600120 ga=1061 gc=0 sa=0 sb=0 sat=0"
+       " in=43766 io=19710 br=0 bs=0"
+       " al=1067165 tl=1400512 kl=1 be=140 gs=4 it=5"
        " labels=1c27b91ae8a6c8e8"},
       {"GHashCommunities",
        "gt=32410 gb=295700 ga=0 gc=0 sa=30720 sb=0 sat=63539"
@@ -203,32 +210,32 @@ const std::map<std::string, std::string>& Goldens() {
        " al=2193554 tl=3186080 kl=20 be=4445 gs=0 it=5"
        " labels=1c27b91ae8a6c8e8"},
       {"GlpGlobalOrganicWindow",
-       "gt=173155 gb=4363440 ga=45444 gc=71478 sa=0 sb=0 sat=0"
-       " in=123943 io=46285 br=0 bs=0"
-       " al=899492 tl=3966176 kl=1 be=705 gs=4 it=5"
+       "gt=169355 gb=4363440 ga=43002 gc=75375 sa=0 sb=0 sat=0"
+       " in=123886 io=46285 br=0 bs=0"
+       " al=900947 tl=3964352 kl=1 be=705 gs=4 it=5"
        " labels=d7a56f58c09c385d"},
       {"GlpSmemOrganicWindow",
-       "gt=51875 gb=482480 ga=5610 gc=0 sa=55080 sb=0 sat=110580"
-       " in=173648 io=54805 br=50 bs=75"
-       " al=2174909 tl=5556736 kl=1 be=725 gs=4 it=5"
+       "gt=44090 gb=594680 ga=725 gc=0 sa=80895 sb=0 sat=111880"
+       " in=174478 io=45035 br=50 bs=1475"
+       " al=2788344 tl=5583296 kl=1 be=725 gs=4 it=5"
        " labels=d7a56f58c09c385d"},
       {"GlpSmemWarpOrganicWindow",
-       "gt=43710 gb=862720 ga=1565 gc=0 sa=13600 sb=0 sat=51298"
-       " in=56592 io=23295 br=50 bs=75"
-       " al=1059252 tl=1810944 kl=1 be=220 gs=4 it=5"
+       "gt=36795 gb=841340 ga=1245 gc=0 sa=16075 sb=0 sat=52486"
+       " in=80252 io=29975 br=50 bs=175"
+       " al=1750520 tl=2568064 kl=1 be=225 gs=4 it=5"
        " labels=d7a56f58c09c385d"},
       {"GlpTightSketchOrganicWindow",
-       "gt=43710 gb=862720 ga=1565 gc=0 sa=12850 sb=0 sat=56333"
-       " in=56661 io=23295 br=50 bs=75"
-       " al=1040287 tl=1813152 kl=1 be=220 gs=4 it=5"
+       "gt=37229 gb=852940 ga=1606 gc=302 sa=15450 sb=77 sat=58680"
+       " in=80353 io=29975 br=51 bs=176"
+       " al=1737818 tl=2571296 kl=1 be=225 gs=4 it=5"
        " labels=d7a56f58c09c385d"},
       {"GHashOrganicWindow",
-       "gt=54075 gb=709740 ga=4141 gc=8722 sa=54280 sb=0 sat=97812"
-       " in=147578 io=45055 br=0 bs=0"
-       " al=2159765 tl=4722496 kl=25 be=705 gs=0 it=5"
+       "gt=50275 gb=709740 ga=3236 gc=9671 sa=54280 sb=0 sat=99085"
+       " in=147536 io=45055 br=0 bs=0"
+       " al=2161082 tl=4721152 kl=25 be=705 gs=0 it=5"
        " labels=d7a56f58c09c385d"},
       {"GSortOrganicWindow",
-       "gt=73510 gb=1367980 ga=0 gc=0 sa=69760 sb=0 sat=0"
+       "gt=70075 gb=1367980 ga=0 gc=0 sa=69760 sb=0 sat=0"
        " in=136018 io=36605 br=0 bs=30390"
        " al=2682950 tl=4352576 kl=20 be=6530 gs=0 it=5"
        " labels=d7a56f58c09c385d"},
@@ -316,6 +323,57 @@ INSTANTIATE_TEST_SUITE_P(Engines, SimDeterminismTest,
                          [](const ::testing::TestParamInfo<Case>& info) {
                            return info.param.name;
                          });
+
+// --- Neighbour-list order ---
+//
+// GraphBuilder emits every list in ascending id order, so a window's CSR,
+// and everything the simulator counts on it, is a function of its edge
+// multiset alone, not of the order the edges arrived in.
+
+TEST(CsrOrderTest, ShuffledEdgesBuildTheSameWindow) {
+  for (const bool collapse : {false, true}) {
+    SCOPED_TRACE(collapse ? "collapsed" : "multigraph");
+    const Graph window = OrganicWindowGraph(collapse);
+    // The window's undirected edge multiset, each edge once, shuffled.
+    std::vector<graph::Edge> edges;
+    for (graph::VertexId v = 0; v < window.num_vertices(); ++v) {
+      for (graph::EdgeId e = window.offset(v);
+           e < window.offset(v) + window.degree(v); ++e) {
+        const graph::VertexId u = window.neighbor_array()[e];
+        const auto copies = static_cast<int>(window.edge_weight(e));
+        for (int k = 0; u < v && k < copies; ++k) edges.push_back({u, v});
+      }
+    }
+    Rng rng(7);
+    for (size_t i = edges.size(); i > 1; --i) {
+      std::swap(edges[i - 1], edges[rng.Bounded(i)]);
+    }
+    graph::GraphBuilder builder(window.num_vertices(), std::move(edges));
+    const Graph shuffled = collapse ? builder.BuildCollapsed()
+                                    : builder.Build(/*symmetrize=*/true,
+                                                    /*dedupe=*/false);
+    ASSERT_EQ(shuffled.offsets(), window.offsets());
+    ASSERT_EQ(shuffled.neighbor_array(), window.neighbor_array());
+    ASSERT_EQ(shuffled.weight_array(), window.weight_array());
+    for (graph::VertexId v = 0; v < window.num_vertices(); ++v) {
+      const auto list = window.neighbors(v);
+      ASSERT_TRUE(std::is_sorted(list.begin(), list.end())) << "vertex " << v;
+    }
+
+    GlpOptions frontier;
+    frontier.use_frontier = true;
+    for (const GlpOptions& opts :
+         {GlpOptions{}, frontier, Mode(GlpOptions::Mode::kSmem)}) {
+      GlpEngine<ClassicVariant> engine({}, opts);
+      RunConfig run;
+      run.max_iterations = 8;
+      const RunResult a = engine.Run(window, run).value();
+      const RunResult b = engine.Run(shuffled, run).value();
+      EXPECT_EQ(Fingerprint(a), Fingerprint(b));
+      EXPECT_EQ(a.labels, b.labels);
+    }
+  }
+}
 
 // --- Device change counters ---
 //
