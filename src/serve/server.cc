@@ -1231,6 +1231,10 @@ Status StreamServer::MigrateToShardCount(int target) {
       nq.enqueue_seconds = q.enqueue_seconds;
       q = std::move(nq);
     }
+    // Producers count their routed edges into shard_ins_ under mu_, by the
+    // routing of the map they see here: it must cover the new shards before
+    // the new map is visible.
+    EnsureShardInstruments(target);
     pmap_ = new_map;
     num_shards_.store(target, std::memory_order_release);
     windows_ = std::move(new_windows);
@@ -1245,7 +1249,6 @@ Status StreamServer::MigrateToShardCount(int target) {
   for (int k = 0; k < target; ++k) {
     range_cursors_.emplace_back(&windows_[k]);
   }
-  EnsureShardInstruments(target);
   // Cluster records are owner-bucketed; re-extracting them next tick is
   // cheap and yields identical clusters (the reuse invariant), so drop the
   // cache rather than re-derive its bucketing.

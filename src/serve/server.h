@@ -292,7 +292,8 @@ class StreamServer : public Server {
   /// the detection thread after successful ticks.
   void MaybeAutoReshard();
   /// Grows shard_ins_ (and the per-shard metric families) to cover n
-  /// shards; gauges of shards beyond the live count are zeroed.
+  /// shards; gauges of shards beyond the live count are zeroed. Once the
+  /// server has started, call it under mu_ (producers index shard_ins_).
   void EnsureShardInstruments(int n);
   bool Backoff(int attempt);
   void RecordError(const Status& status);
