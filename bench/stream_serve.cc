@@ -1,15 +1,13 @@
-// Streaming serving benchmark: warm-started incremental ticks vs a cold
-// from-scratch pipeline run per tick on the scaled TaoBao stream.
+// Streaming serving benchmark on the scaled TaoBao stream and on
+// multi-tenant streams.
 //
-// Three servers replay the same micro-batched stream at the same cadence:
-// cold (every window solved from singleton labels), warm (previous tick's
-// labels carried forward through the entity ids), and warm with a weekly
-// cold refresh. Warm ticks converge in a fraction of the iterations; pure
-// warm slowly coarsens label granularity (warm LP merges communities but
-// never splits them), which the refresh mode counters — the AvgF1 column
-// makes that tradeoff visible. Output ends with machine-readable
-// tick-latency JSON blobs (p50/p99 wall seconds, warm vs cold iteration
-// counts) for CI tracking.
+// A cold server (every window solved from singleton labels) replays the
+// micro-batched TaoBao stream, then again with a scraped metrics endpoint
+// and with sampled tracing to price both against the plain replay. The
+// multi-tenant sections measure shard scale-out, incremental ticks against
+// cold ticks on a bursty stream, network ingest, WAL overhead and a live
+// resize. --json-out writes the machine-readable results (tick latencies,
+// iteration counts, speedups) for CI tracking.
 
 #include <algorithm>
 #include <atomic>
@@ -46,8 +44,7 @@ struct ModeResult {
 };
 
 ModeResult ReplayStream(const pipeline::TransactionStream& stream,
-                        const bench::BenchFlags& flags, bool warm,
-                        int64_t refresh_every,
+                        const bench::BenchFlags& flags,
                         obs::MetricRegistry* metrics = nullptr,
                         const serve::TracePolicy* trace = nullptr) {
   serve::ServerConfig cfg;
@@ -58,8 +55,6 @@ ModeResult ReplayStream(const pipeline::TransactionStream& stream,
   cfg.seeds = stream.seeds;
   cfg.ground_truth = &stream;
   cfg.tick.every_days = 1.0;
-  cfg.tick.warm_start = warm;
-  cfg.tick.cold_refresh_every_ticks = refresh_every;
   cfg.metrics = metrics;
   if (trace != nullptr) cfg.trace = *trace;
 
@@ -146,7 +141,7 @@ struct TickSeries {
 };
 
 TickSeries ReplayTenantStream(const MultiTenantStream& stream, int iterations,
-                              bool warm, bool incremental) {
+                              bool incremental) {
   serve::ServerConfig cfg;
   cfg.detect.window_days = 30;
   cfg.detect.engine = lp::EngineKind::kGlp;
@@ -154,9 +149,7 @@ TickSeries ReplayTenantStream(const MultiTenantStream& stream, int iterations,
   cfg.detect.lp.stop_when_stable = true;
   cfg.seeds = stream.seeds;
   cfg.tick.every_days = 1.0;
-  cfg.tick.warm_start = warm;
   cfg.tick.incremental = incremental;
-  cfg.tick.cold_refresh_every_ticks = 0;  // pure modes: no weekly refresh
 
   TickSeries out;
   serve::StreamServer server(cfg);
@@ -201,8 +194,7 @@ ShardResult ReplaySharded(const MultiTenantStream& stream, int shards,
   cfg.detect.lp.max_iterations = iterations;
   cfg.detect.lp.stop_when_stable = true;
   cfg.seeds = stream.seeds;
-  cfg.tick.every_days = 1.0;
-  cfg.tick.warm_start = false;  // cold ticks: shard counts do identical LP work
+  cfg.tick.every_days = 1.0;  // cold ticks: shard counts do identical LP work
 
   ShardResult out;
   serve::StreamServer server(cfg, shards);
@@ -252,7 +244,6 @@ ReshardResult ReplayReshard(const MultiTenantStream& stream, int from, int to,
   cfg.detect.lp.stop_when_stable = true;
   cfg.seeds = stream.seeds;
   cfg.tick.every_days = 1.0;
-  cfg.tick.warm_start = false;
 
   ReshardResult out;
   out.from = from;
@@ -304,7 +295,7 @@ ReshardResult ReplayReshard(const MultiTenantStream& stream, int from, int to,
 
 // --- Network ingest load (DESIGN.md §4.11) ---
 //
-// One IngestService over a single warm StreamServer, driven by `tenants`
+// One IngestService over a single StreamServer, driven by `tenants`
 // concurrent client connections — one per tenant, each replaying its own
 // Zipf-sized stream (tenant k carries ~1/k of the head tenant's edges, the
 // canonical skew of real multi-tenant fleets). Measures wire-path ingest
@@ -359,7 +350,6 @@ NetloadResult RunNetload(const bench::BenchFlags& flags, int tenants) {
   cfg.detect.lp.stop_when_stable = true;
   cfg.seeds = seeds;
   cfg.tick.every_days = 1.0;
-  cfg.tick.warm_start = true;
   std::unique_ptr<serve::Server> server = serve::MakeServer(cfg, 1);
   GLP_CHECK(server->Start().ok());
 
@@ -536,48 +526,32 @@ int main(int argc, char** argv) {
       bench::BenchFlags::Parse(static_cast<int>(kept.size()), kept.data());
   const auto stream = pipeline::GenerateTransactions(
       bench::TaobaoStreamConfig(flags.scale, flags.seed));
-  std::printf("=== Streaming serving: warm-started ticks vs from-scratch "
-              "(scale=%.2f) ===\n\n",
+  std::printf("=== Streaming serving: cold ticks (scale=%.2f) ===\n\n",
               flags.scale);
   std::printf("stream: %zu purchases over 100 days, 30-day window, "
               "1-day ticks\n\n",
               stream.edges.size());
 
-  struct Mode {
-    const char* name;
-    bool warm;
-    int64_t refresh;
-  };
-  const Mode modes[] = {{"cold", false, 0},
-                        {"warm", true, 0},
-                        {"warm+wk", true, 7}};
-
-  std::vector<ModeResult> results;
-  for (const Mode& m : modes) {
-    results.push_back(ReplayStream(stream, flags, m.warm, m.refresh));
-  }
-
+  const ModeResult cold = ReplayStream(stream, flags);
+  const double cold_ticks = static_cast<double>(cold.ticks);
+  const double cold_avg_iters =
+      cold.ticks == 0 ? 0.0 : cold.total_iterations / cold_ticks;
+  const double cold_avg_f1 = cold.ticks == 0 ? 0.0 : cold.f1_sum / cold_ticks;
   bench::PrintHeader({"Mode", "Ticks", "AvgIters", "SimTime", "WallTime",
                       "Tick-p50", "Tick-p99", "AvgF1"},
                      12);
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ModeResult& m = results[i];
-    std::printf("%-12s%-12lld%-12.1f%-12s%-12s%-12s%-12s%-12.3f\n",
-                modes[i].name, static_cast<long long>(m.ticks),
-                m.ticks == 0
-                    ? 0.0
-                    : static_cast<double>(m.total_iterations) / m.ticks,
-                bench::Duration(m.total_simulated).c_str(),
-                bench::Duration(m.total_wall).c_str(),
-                bench::Duration(m.stats.tick_p50_seconds).c_str(),
-                bench::Duration(m.stats.tick_p99_seconds).c_str(),
-                m.ticks == 0 ? 0.0 : m.f1_sum / static_cast<double>(m.ticks));
-  }
+  std::printf("%-12s%-12lld%-12.1f%-12s%-12s%-12s%-12s%-12.3f\n", "cold",
+              static_cast<long long>(cold.ticks), cold_avg_iters,
+              bench::Duration(cold.total_simulated).c_str(),
+              bench::Duration(cold.total_wall).c_str(),
+              bench::Duration(cold.stats.tick_p50_seconds).c_str(),
+              bench::Duration(cold.stats.tick_p99_seconds).c_str(),
+              cold_avg_f1);
 
-  // Metrics overhead: re-run the warm replay with an external registry, a
+  // Metrics overhead: re-run the cold replay with an external registry, a
   // live HTTP endpoint, and a scraper polling the text exposition every
   // 25 ms — the worst realistic scrape load — then compare per-tick wall
-  // time against the plain warm run above.
+  // time against the plain cold run above.
   obs::MetricRegistry registry;
   obs::HttpEndpoint endpoint(&registry);
   const bool endpoint_up = endpoint.Start(0);
@@ -590,76 +564,52 @@ int main(int argc, char** argv) {
       std::this_thread::sleep_for(std::chrono::milliseconds(25));
     }
   });
-  const ModeResult scraped = ReplayStream(stream, flags, /*warm=*/true,
-                                          /*refresh_every=*/0, &registry);
+  const ModeResult scraped = ReplayStream(stream, flags, &registry);
   stop_scraper.store(true, std::memory_order_release);
   scraper.join();
   endpoint.Stop();
 
-  const ModeResult& cold = results[0];
-  const ModeResult& warm = results[1];
-  const double warm_avg_tick =
-      warm.ticks > 0 ? warm.total_wall / static_cast<double>(warm.ticks) : 0;
+  const double cold_avg_tick =
+      cold.ticks > 0 ? cold.total_wall / cold_ticks : 0;
   const double scraped_avg_tick =
       scraped.ticks > 0 ? scraped.total_wall / static_cast<double>(scraped.ticks)
                         : 0;
   const double overhead_pct =
-      warm_avg_tick > 0 ? 100.0 * (scraped_avg_tick / warm_avg_tick - 1.0) : 0;
+      cold_avg_tick > 0 ? 100.0 * (scraped_avg_tick / cold_avg_tick - 1.0) : 0;
   std::printf(
-      "\nmetrics overhead: warm avg tick %s plain vs %s scraped "
+      "\nmetrics overhead: cold avg tick %s plain vs %s scraped "
       "(%+.2f%%, %lld scrapes%s)\n",
-      bench::Duration(warm_avg_tick).c_str(),
+      bench::Duration(cold_avg_tick).c_str(),
       bench::Duration(scraped_avg_tick).c_str(), overhead_pct,
       static_cast<long long>(scrapes.load()),
       endpoint_up ? ", /metrics endpoint live" : "");
 
   // Tracing overhead: same methodology as the metrics-overhead mode above —
-  // re-run the warm replay with sampled tracing plus the flight recorder
-  // enabled and compare per-tick wall time against the plain warm run. The
+  // re-run the cold replay with sampled tracing plus the flight recorder
+  // enabled and compare per-tick wall time against the plain cold run. The
   // budget is <2%: spans are a handful of clock reads and small string
   // appends per tick, so sampled tracing must stay in the noise floor.
   serve::TracePolicy trace_policy;
   trace_policy.sample_rate = 0.25;
   trace_policy.recorder_ticks = 64;
   const ModeResult traced =
-      ReplayStream(stream, flags, /*warm=*/true, /*refresh_every=*/0,
-                   /*metrics=*/nullptr, &trace_policy);
-  const double warm_avg_for_trace =
-      warm_avg_tick;  // same baseline as the metrics comparison
+      ReplayStream(stream, flags, /*metrics=*/nullptr, &trace_policy);
   const double traced_avg_tick =
       traced.ticks > 0 ? traced.total_wall / static_cast<double>(traced.ticks)
                        : 0;
   const double trace_overhead_pct =
-      warm_avg_for_trace > 0
-          ? 100.0 * (traced_avg_tick / warm_avg_for_trace - 1.0)
-          : 0;
+      cold_avg_tick > 0 ? 100.0 * (traced_avg_tick / cold_avg_tick - 1.0) : 0;
   constexpr double kTraceOverheadBudgetPct = 2.0;
   std::printf(
-      "tracing overhead: warm avg tick %s plain vs %s traced "
+      "tracing overhead: cold avg tick %s plain vs %s traced "
       "(%+.2f%%, sample_rate=%.2f recorder_ticks=%lld) — budget <%.0f%%: %s\n",
-      bench::Duration(warm_avg_for_trace).c_str(),
+      bench::Duration(cold_avg_tick).c_str(),
       bench::Duration(traced_avg_tick).c_str(), trace_overhead_pct,
       trace_policy.sample_rate,
       static_cast<long long>(trace_policy.recorder_ticks),
       kTraceOverheadBudgetPct,
       trace_overhead_pct < kTraceOverheadBudgetPct ? "PASS" : "FAIL");
-  const double sim_speedup = warm.total_simulated > 0
-                                 ? cold.total_simulated / warm.total_simulated
-                                 : 0;
-  const double wall_speedup =
-      warm.total_wall > 0 ? cold.total_wall / warm.total_wall : 0;
-  std::printf("\nwarm-start amortized speedup: %.2fx simulated, %.2fx wall\n",
-              sim_speedup, wall_speedup);
-  for (size_t i = 0; i < results.size(); ++i) {
-    std::printf("%s stats: %s\n", modes[i].name,
-                results[i].stats.ToJson().c_str());
-  }
-  std::printf(
-      "\n(Warm ticks seed LP with the previous window's labels; with "
-      "stop_when_stable,\n quiescent windows re-converge in a couple of "
-      "iterations instead of re-solving\n from singletons. Every tick still "
-      "equals a one-shot pipeline run given the\n same initial labels — see "
-      "tests/serve_test.cc.)\n");
+  std::printf("\ncold stats: %s\n", cold.stats.ToJson().c_str());
 
   // --- Shard scale-out: an N-shard StreamServer over a multi-tenant stream ---
   const auto tenants = MakeMultiTenantStream(/*tenants=*/16, flags.scale,
@@ -701,9 +651,9 @@ int main(int argc, char** argv) {
 
   // --- Incremental serving: bursty 16-tenant stream (DESIGN.md §4.10) ---
   // Tenant activity arrives in staggered bursts, so at any steady-state tick
-  // most tenants' components are untouched by the window advance. Warm-only
-  // still runs LP over every window edge each tick; incremental runs LP on
-  // the dirty components alone and reuses clean clusters verbatim (output
+  // most tenants' components are untouched by the window advance. Cold
+  // ticks still run LP over every window edge; incremental runs LP on the
+  // dirty components alone and reuses clean clusters verbatim (output
   // byte-identical to a cold replay — tests/serve_test.cc).
   const int even_iters = std::max(2, flags.iterations & ~1);
   const auto bursty = MakeMultiTenantStream(/*tenants=*/16, flags.scale,
@@ -716,19 +666,17 @@ int main(int argc, char** argv) {
   struct IncMode {
     const char* name;
     const char* json_key;
-    bool warm;
     bool incremental;
   };
-  const IncMode inc_modes[] = {{"cold", "cold", false, false},
-                               {"warm", "warm", true, false},
-                               {"warm+incr", "warm_incremental", true, true}};
+  const IncMode inc_modes[] = {{"cold", "cold", false},
+                               {"incremental", "incremental", true}};
   // Steady state: the window is full and the incremental path is past its
   // first-tick rebuild.
   const size_t steady_from = 31;
   std::vector<TickSeries> inc_results;
   for (const IncMode& m : inc_modes) {
     inc_results.push_back(
-        ReplayTenantStream(bursty, even_iters, m.warm, m.incremental));
+        ReplayTenantStream(bursty, even_iters, m.incremental));
   }
   bench::PrintHeader({"Mode", "Ticks", "AvgIters", "SimTime", "WallTime",
                       "Steady-sim", "Steady-wall", "Reused"},
@@ -748,20 +696,20 @@ int main(int argc, char** argv) {
         bench::Duration(r.SteadyAvg(r.wall, steady_from)).c_str(),
         static_cast<long long>(r.stats.reused_clusters));
   }
-  const TickSeries& inc_warm = inc_results[1];
-  const TickSeries& inc_incr = inc_results[2];
+  const TickSeries& inc_cold = inc_results[0];
+  const TickSeries& inc_incr = inc_results[1];
   const double inc_sim_speedup =
       inc_incr.SteadyAvg(inc_incr.sim, steady_from) > 0
-          ? inc_warm.SteadyAvg(inc_warm.sim, steady_from) /
+          ? inc_cold.SteadyAvg(inc_cold.sim, steady_from) /
                 inc_incr.SteadyAvg(inc_incr.sim, steady_from)
           : 0;
   const double inc_wall_speedup =
       inc_incr.SteadyAvg(inc_incr.wall, steady_from) > 0
-          ? inc_warm.SteadyAvg(inc_warm.wall, steady_from) /
+          ? inc_cold.SteadyAvg(inc_cold.wall, steady_from) /
                 inc_incr.SteadyAvg(inc_incr.wall, steady_from)
           : 0;
   std::printf(
-      "\nsteady-state incremental speedup vs warm-only: %.2fx simulated, "
+      "\nsteady-state incremental speedup vs cold: %.2fx simulated, "
       "%.2fx wall\n(LP touches dirty components only; %lld clusters reused "
       "verbatim across the replay,\n last tick had %lld dirty components. "
       "Same confirmed clusters as a cold replay.)\n",
@@ -886,22 +834,15 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"scale\": %g,\n  \"iterations\": %d,\n", flags.scale,
                  flags.iterations);
     std::fprintf(f, "  \"taobao_modes\": {\n");
-    for (size_t i = 0; i < results.size(); ++i) {
-      const ModeResult& m = results[i];
-      std::fprintf(
-          f,
-          "    \"%s\": {\"ticks\": %lld, \"avg_iterations\": %g, "
-          "\"simulated_seconds\": %g, \"wall_seconds\": %g, "
-          "\"tick_p50_seconds\": %g, \"tick_p99_seconds\": %g, "
-          "\"avg_f1\": %g}%s\n",
-          modes[i].name, static_cast<long long>(m.ticks),
-          m.ticks == 0 ? 0.0
-                       : static_cast<double>(m.total_iterations) / m.ticks,
-          m.total_simulated, m.total_wall, m.stats.tick_p50_seconds,
-          m.stats.tick_p99_seconds,
-          m.ticks == 0 ? 0.0 : m.f1_sum / static_cast<double>(m.ticks),
-          i + 1 < results.size() ? "," : "");
-    }
+    std::fprintf(
+        f,
+        "    \"cold\": {\"ticks\": %lld, \"avg_iterations\": %g, "
+        "\"simulated_seconds\": %g, \"wall_seconds\": %g, "
+        "\"tick_p50_seconds\": %g, \"tick_p99_seconds\": %g, "
+        "\"avg_f1\": %g}\n",
+        static_cast<long long>(cold.ticks), cold_avg_iters,
+        cold.total_simulated, cold.total_wall, cold.stats.tick_p50_seconds,
+        cold.stats.tick_p99_seconds, cold_avg_f1);
     std::fprintf(f, "  },\n  \"incremental_16tenant\": {\n");
     for (size_t i = 0; i < inc_results.size(); ++i) {
       const TickSeries& r = inc_results[i];
@@ -922,8 +863,8 @@ int main(int argc, char** argv) {
           static_cast<long long>(r.stats.last_dirty_components));
     }
     std::fprintf(f,
-                 "    \"steady_speedup_vs_warm_simulated\": %g,\n"
-                 "    \"steady_speedup_vs_warm_wall\": %g\n  },\n",
+                 "    \"steady_speedup_vs_cold_simulated\": %g,\n"
+                 "    \"steady_speedup_vs_cold_wall\": %g\n  },\n",
                  inc_sim_speedup, inc_wall_speedup);
     std::fprintf(f, "  \"shard_scaleout\": {\n");
     for (size_t i = 0; i < sharded.size(); ++i) {
@@ -943,7 +884,7 @@ int main(int argc, char** argv) {
                  "    \"overhead_pct\": %g, \"budget_pct\": %g\n",
                  trace_policy.sample_rate,
                  static_cast<long long>(trace_policy.recorder_ticks),
-                 warm_avg_for_trace, traced_avg_tick, trace_overhead_pct,
+                 cold_avg_tick, traced_avg_tick, trace_overhead_pct,
                  kTraceOverheadBudgetPct);
     std::fprintf(f, "  },\n  \"netload\": {\n");
     std::fprintf(

@@ -18,7 +18,10 @@ constexpr uint64_t kMagic = 0x31544b5043504c47ULL;  // "GLPCPKT1" LE
 // appends the WAL position (wal_seq, wal_epoch). v4 has v3's layout; its
 // incremental anchors were computed with window ids in entity-id order.
 // Older files still load, with the newer fields defaulted and their
-// anchors dropped (they encode first-appearance tie-breaks).
+// anchors dropped (they encode first-appearance tie-breaks). The two
+// arrays after `edges` and flag bit 2 are reserved: they held the removed
+// warm-start anchors, are written empty (bit clear), and are read past, so
+// files that carry anchors still load and resume cold.
 constexpr uint32_t kVersion = 4;
 constexpr uint32_t kEntityOrderedIdsVersion = 4;
 constexpr uint32_t kMinVersion = 1;
@@ -123,12 +126,13 @@ Status SaveCheckpoint(const std::string& path, const CheckpointData& data) {
     Writer w(f.get());
     bool ok = w.Pod(kMagic) && w.Pod(kVersion);
     const uint32_t flags = (data.tick_schedule_primed ? 1u : 0u) |
-                           (data.have_prev ? 2u : 0u) |
                            (data.has_incremental ? 4u : 0u);
+    const std::vector<graph::VertexId> reserved_entities;
+    const std::vector<graph::Label> reserved_labels;
     ok = ok && w.Pod(flags) && w.Pod(data.tick) &&
          w.Pod(data.next_tick_end) && w.Pod(data.ingested_max_time) &&
-         w.Vec(data.edges) && w.Vec(data.prev_l2g) &&
-         w.Vec(data.prev_labels);
+         w.Vec(data.edges) && w.Vec(reserved_entities) &&
+         w.Vec(reserved_labels);
     const uint64_t num_clusters = data.prev_confirmed.size();
     ok = ok && w.Pod(num_clusters);
     for (const auto& members : data.prev_confirmed) {
@@ -171,10 +175,12 @@ Result<CheckpointData> LoadCheckpoint(const std::string& path) {
   }
   CheckpointData data;
   uint32_t flags = 0;
+  std::vector<graph::VertexId> reserved_entities;
+  std::vector<graph::Label> reserved_labels;
   bool ok = r.Pod(&flags) && r.Pod(&data.tick) && r.Pod(&data.next_tick_end) &&
             r.Pod(&data.ingested_max_time) && r.Vec(&data.edges, kMaxElems) &&
-            r.Vec(&data.prev_l2g, kMaxElems) &&
-            r.Vec(&data.prev_labels, kMaxElems);
+            r.Vec(&reserved_entities, kMaxElems) &&
+            r.Vec(&reserved_labels, kMaxElems);
   uint64_t num_clusters = 0;
   ok = ok && r.Pod(&num_clusters) && num_clusters <= kMaxElems;
   if (ok) {
@@ -201,11 +207,7 @@ Result<CheckpointData> LoadCheckpoint(const std::string& path) {
     return Status::IoError("checksum mismatch in checkpoint " + path);
   }
   data.tick_schedule_primed = (flags & 1u) != 0;
-  data.have_prev = (flags & 2u) != 0;
   data.has_incremental = (flags & 4u) != 0;
-  if (data.prev_labels.size() != data.prev_l2g.size()) {
-    return Status::IoError("inconsistent warm state in checkpoint " + path);
-  }
   if (data.inc_anchors.size() != data.inc_entities.size()) {
     return Status::IoError("inconsistent incremental state in checkpoint " +
                            path);
@@ -525,21 +527,6 @@ PortableCheckpoint FlattenShardedCheckpoint(ShardedCheckpoint cp) {
   }
   std::sort(global.begin(), global.end(), graph::CanonicalEdgeLess);
   out.data.edges = std::move(global);
-  // Warm state: the coordinator stores entity→anchor pairs (prev_l2g =
-  // sorted entities, prev_labels = each entity's anchor entity). The flat
-  // encoding wants prev_labels to be an *index* into prev_l2g whose entry
-  // is the anchor. Both encodings induce the same anchor function through
-  // MapWarmLabels, so warm continuity survives the conversion.
-  if (out.data.have_prev) {
-    const std::vector<graph::VertexId>& ents = out.data.prev_l2g;
-    for (graph::Label& lab : out.data.prev_labels) {
-      const auto anchor = static_cast<graph::VertexId>(lab);
-      const auto it = std::lower_bound(ents.begin(), ents.end(), anchor);
-      lab = (it != ents.end() && *it == anchor)
-                ? static_cast<graph::Label>(it - ents.begin())
-                : graph::kInvalidLabel;
-    }
-  }
   if (cp.manifest.epoch > out.data.wal_epoch) {
     out.data.wal_epoch = cp.manifest.epoch;
   }

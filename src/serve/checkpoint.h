@@ -2,7 +2,8 @@
 // (DESIGN.md §4.8). A checkpoint captures everything the detection thread
 // needs to resume a stream mid-flight with output identical to an
 // uninterrupted run: the window's edge stream, the tick schedule and
-// counters, and the previous tick's warm-start / confirmed-cluster state.
+// counters, the previous tick's confirmed-cluster set, and the incremental
+// label anchors.
 //
 // Snapshots are atomic: the file is written to "<path>.tmp" and renamed
 // into place, so a crash mid-save leaves the previous checkpoint intact.
@@ -40,10 +41,6 @@ struct CheckpointData {
   /// edge index edges.size() of the canonically-sorted source stream.
   std::vector<graph::TimedEdge> edges;
 
-  /// Previous tick's warm-start state (empty/false on cold boundaries).
-  bool have_prev = false;
-  std::vector<graph::VertexId> prev_l2g;
-  std::vector<graph::Label> prev_labels;
   /// Confirmed-cluster sets of the previous tick (sorted member lists) —
   /// needed so post-restore new/expired diffs match the uninterrupted run.
   std::vector<std::vector<graph::VertexId>> prev_confirmed;
@@ -100,9 +97,9 @@ Result<std::string> LatestCheckpoint(const std::string& dir);
 //
 // A fleet checkpoint is N+2 files: one CheckpointData per shard (that
 // shard's partitioned window, mirrors included), one coordinator
-// CheckpointData (tick schedule, confirmed-cluster set, warm anchors), and
-// a manifest naming them all. The manifest is written *last* via
-// temp-then-rename, which makes the fleet snapshot atomic: a crash between
+// CheckpointData (tick schedule, confirmed-cluster set, incremental
+// anchors), and a manifest naming them all. The manifest is written *last*
+// via temp-then-rename, which makes the fleet snapshot atomic: a crash between
 // shard files and manifest leaves the previous manifest — and therefore the
 // previous complete file set — authoritative. Restore is all-or-nothing:
 // the newest manifest whose coordinator and every shard file validate wins,
@@ -189,10 +186,8 @@ struct PortableCheckpoint {
   /// canonical stream — each shard window filtered to the edges that
   /// shard *owns* under the manifest's partition map (mirrors dropped),
   /// then merged back into canonical order, which reproduces the
-  /// single-server stream byte-identically. Warm-start state is converted
-  /// from the coordinator's entity→anchor pairs to the flat
-  /// prev_l2g/prev_labels encoding; the anchor function both encodings
-  /// induce is identical. wal_epoch folds in the manifest fencing epoch.
+  /// single-server stream byte-identically. wal_epoch folds in the
+  /// manifest fencing epoch.
   CheckpointData data;
   /// Fleet shape that wrote the snapshot (1 for flat files).
   int source_shards = 1;

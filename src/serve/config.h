@@ -1,6 +1,6 @@
 // Serving-layer configuration, split into composable policy structs:
-// streaming concerns group into TickPolicy (cadence, warm-start/incremental
-// mode), ResiliencePolicy (the §4.8 retry and degradation ladders), and
+// streaming concerns group into TickPolicy (cadence, cold or incremental
+// ticks), ResiliencePolicy (the §4.8 retry and degradation ladders), and
 // CheckpointPolicy (periodic snapshots), so new layers — the network
 // frontend's TenantPolicy lives in serve/net/tenant.h — compose their own
 // policy structs instead of widening one god-struct. ServerConfig embeds
@@ -21,35 +21,32 @@
 namespace glp::serve {
 
 /// When detection ticks fire and how much state they carry across ticks.
+/// Every tick is either cold (the default: each window solved from
+/// singleton labels) or incremental; both publish exactly what a cold
+/// one-shot detection of the window publishes, on any shard count.
 struct TickPolicy {
   /// Window-end cadence: a detection tick fires at every multiple of this
   /// once ingested data reaches it.
   double every_days = 1.0;
 
-  /// Warm-start each tick's LP from the previous tick's labels mapped
-  /// through the entity ids (cold singleton for entities new to the
-  /// window). Off = every tick runs from scratch.
-  bool warm_start = true;
+  /// Removed mode: warm-starting each tick's LP from the previous tick's
+  /// labels was neither exact nor better than cold ticks, and it was the
+  /// only mode in which N shards could differ from 1 shard. The field stays
+  /// only because perfbench/serve_bench.cc still assigns it false; it goes
+  /// with that line in the next change to the benchmark. Start() rejects
+  /// true.
+  bool warm_start = false;
 
   /// Incremental tick path (DESIGN.md §4.10): maintain a persistent
   /// cross-tick union-find over the window, and run LP + cluster
   /// extraction only on components whose edge set changed since the last
   /// tick — clean components reuse their previous labels and cluster
   /// records verbatim. Published output stays byte-identical to a cold
-  /// canonical replay (unlike warm_start, which trades exactness for
-  /// speed), and any incremental-state fault falls back to a full rebuild
-  /// for that tick. When set, warm_start and cold_refresh_every_ticks are
-  /// ignored. Requires synchronous, non-SLP detection with no caller
-  /// initial labels and an even lp.max_iterations when stop_when_stable —
-  /// Start() rejects violations.
+  /// canonical replay, and any incremental-state fault falls back to a
+  /// full rebuild for that tick. Requires synchronous, non-SLP detection
+  /// with no caller initial labels and an even lp.max_iterations when
+  /// stop_when_stable — Start() rejects violations.
   bool incremental = false;
-
-  /// With warm_start, run a from-scratch tick every N ticks anyway.
-  /// Warm-started LP can merge communities but never split them, so label
-  /// granularity drifts monotonically coarser over long streams; a periodic
-  /// cold refresh re-fragments (see bench/stream_serve.cc for the
-  /// latency/quality tradeoff). 0 = never refresh.
-  int64_t cold_refresh_every_ticks = 32;
 };
 
 /// The §4.8 failure ladders: per-tick retries, deadline degradation, and
@@ -57,9 +54,8 @@ struct TickPolicy {
 struct ResiliencePolicy {
   /// Per-tick wall-clock budget in seconds; 0 disables the deadline. A
   /// tick that overruns arms the degradation ladder for the next one:
-  /// (1) LP iterations capped at degraded_iteration_cap, (2) a due cold
-  /// refresh is deferred until pressure clears, (3) if the stream has
-  /// crossed several boundaries while a tick overran, the overdue
+  /// (1) LP iterations capped at degraded_iteration_cap, (2) if the stream
+  /// has crossed several boundaries while a tick overran, the overdue
   /// boundaries are coalesced into one tick at the newest boundary and the
   /// skipped ones are counted in glp_serve_ticks_shed_total.
   double tick_deadline_seconds = 0;
@@ -68,13 +64,13 @@ struct ResiliencePolicy {
 
   /// Retries per tick after a *transient* failure (IoError,
   /// CapacityExceeded, Internal — the codes injected device faults and
-  /// flaky dependencies surface as). The ladder: attempt 0 as configured,
-  /// attempt 1 retries unchanged, attempt 2 drops warm start (the warm
-  /// state is suspect after repeated failures), the final attempt switches
-  /// to fallback_engine. Non-transient codes are fatal: the detection
-  /// thread records last_error(), wakes every blocked producer with
-  /// Ingest() == false, and exits. 0 disables retries (first transient
-  /// failure abandons the tick).
+  /// flaky dependencies surface as). The ladder: attempts 0 and 1 run as
+  /// configured (with the incremental delta), later attempts run full
+  /// detection, and the final attempt switches to fallback_engine.
+  /// Non-transient codes are fatal: the detection thread records
+  /// last_error(), wakes every blocked producer with Ingest() == false, and
+  /// exits. 0 disables retries (first transient failure abandons the
+  /// tick).
   int max_tick_retries = 3;
   /// Exponential backoff between retry attempts: base * 2^attempt, capped.
   double retry_backoff_ms = 1.0;
@@ -177,8 +173,7 @@ struct ServerConfig {
   /// Per-tick detection parameters: window length, engine/variant, the
   /// embedded lp::RunConfig (iterations, seed, stop_when_stable), cluster
   /// extraction thresholds. end_day is ignored — the stream drives the
-  /// window end. Pair tick.warm_start with detect.lp.stop_when_stable so
-  /// quiescent windows terminate after ~2 iterations.
+  /// window end.
   pipeline::PipelineConfig detect;
 
   /// Blacklist seeds (global entity ids) for cluster extraction.
@@ -197,10 +192,6 @@ struct ServerConfig {
 
   /// Optional ground truth for per-tick detection metrics. Not owned.
   const pipeline::TransactionStream* ground_truth = nullptr;
-
-  /// Copy each tick's warm-start label array into TickResult::warm_labels
-  /// (test/replay hook for the one-shot equivalence check).
-  bool record_warm_labels = false;
 
   /// Optional profiler: receives per-tick host events and the LP engines'
   /// phase breakdowns. Used from the detection thread only. Not owned.

@@ -46,8 +46,6 @@ std::string ServerStats::ToJson() const {
   json::Writer w;
   w.BeginObject();
   w.Key("ticks").Int(ticks);
-  w.Key("warm_ticks").Int(warm_ticks);
-  w.Key("cold_ticks").Int(cold_ticks);
   w.Key("batches_ingested").Int(batches_ingested);
   w.Key("edges_ingested").Int(edges_ingested);
   w.Key("ingest_blocked").Int(ingest_blocked);
@@ -59,8 +57,6 @@ std::string ServerStats::ToJson() const {
   w.Key("tick_retries").Int(tick_retries);
   w.Key("ticks_failed").Int(ticks_failed);
   w.Key("engine_fallbacks").Int(engine_fallbacks);
-  w.Key("warm_fallbacks").Int(warm_fallbacks);
-  w.Key("cold_refresh_deferred").Int(cold_refresh_deferred);
   w.Key("checkpoints_written").Int(checkpoints_written);
   w.Key("checkpoint_failures").Int(checkpoint_failures);
   w.Key("reused_clusters").Int(reused_clusters);
@@ -69,8 +65,7 @@ std::string ServerStats::ToJson() const {
   w.Key("tick_p50_seconds").Double(tick_p50_seconds);
   w.Key("tick_p99_seconds").Double(tick_p99_seconds);
   w.Key("tick_max_seconds").Double(tick_max_seconds);
-  w.Key("warm_avg_iterations").Double(warm_avg_iterations);
-  w.Key("cold_avg_iterations").Double(cold_avg_iterations);
+  w.Key("avg_iterations").Double(avg_iterations);
   w.Key("last_ingest_lag_days").Double(last_ingest_lag_days);
   w.EndObject();
   return w.Take();
@@ -117,16 +112,10 @@ StreamServer::StreamServer(ServerConfig config, int num_shards)
   // per-shard families follow below.
   ins_.tick_seconds = registry_->GetHistogram(
       "glp_serve_tick_seconds", "Wall time of one detection tick");
-  ins_.warm_ticks = registry_->GetCounter(
-      "glp_serve_ticks_total", "Detection ticks run", {{"mode", "warm"}});
-  ins_.cold_ticks = registry_->GetCounter(
-      "glp_serve_ticks_total", "Detection ticks run", {{"mode", "cold"}});
-  ins_.warm_iterations = registry_->GetCounter(
-      "glp_serve_lp_iterations_total", "LP iterations run by detection ticks",
-      {{"mode", "warm"}});
-  ins_.cold_iterations = registry_->GetCounter(
-      "glp_serve_lp_iterations_total", "LP iterations run by detection ticks",
-      {{"mode", "cold"}});
+  ins_.ticks =
+      registry_->GetCounter("glp_serve_ticks_total", "Detection ticks run");
+  ins_.iterations = registry_->GetCounter(
+      "glp_serve_lp_iterations_total", "LP iterations run by detection ticks");
   ins_.batches_ingested = registry_->GetCounter(
       "glp_serve_batches_ingested_total", "Edge batches accepted by Ingest");
   ins_.edges_ingested = registry_->GetCounter(
@@ -171,12 +160,6 @@ StreamServer::StreamServer(ServerConfig config, int num_shards)
   ins_.engine_fallbacks = registry_->GetCounter(
       "glp_serve_fallbacks_total", "Degraded-path fallbacks taken",
       {{"kind", "engine"}});
-  ins_.warm_fallbacks = registry_->GetCounter(
-      "glp_serve_fallbacks_total", "Degraded-path fallbacks taken",
-      {{"kind", "warm_to_cold"}});
-  ins_.cold_refresh_deferred = registry_->GetCounter(
-      "glp_serve_cold_refresh_deferred_total",
-      "Cold refreshes postponed by the degradation ladder");
   ins_.checkpoints_ok = registry_->GetCounter(
       "glp_serve_checkpoints_total", "Periodic checkpoint attempts",
       {{"result", "ok"}});
@@ -366,14 +349,6 @@ Result<Server::RestoreInfo> StreamServer::RestoreFromCheckpoint(
   CheckpointData empty_coord;
   const CheckpointData* coord = &empty_coord;
   global_edges_ = 0;
-  warm_anchor_.clear();
-  auto set_warm_anchor = [this](VertexId entity, VertexId anchor) {
-    if (warm_anchor_.size() <= entity) {
-      warm_anchor_.resize(static_cast<size_t>(entity) + 1,
-                          graph::kInvalidVertex);
-    }
-    warm_anchor_[entity] = anchor;
-  };
   if (src == Src::kFleet) {
     coord = &cp.coord;
     // Adopt the snapshot's own partition map (manifest v3; the default
@@ -391,11 +366,6 @@ Result<Server::RestoreInfo> StreamServer::RestoreFromCheckpoint(
       std::lock_guard<std::mutex> lk(mu_);
       pmap_ = std::make_shared<const pipeline::PartitionMap>(cp_map);
     }
-    // Coordinator warm anchors are stored directly as entity→anchor pairs.
-    for (size_t i = 0; i < cp.coord.prev_l2g.size(); ++i) {
-      set_warm_anchor(cp.coord.prev_l2g[i],
-                      static_cast<VertexId>(cp.coord.prev_labels[i]));
-    }
   } else if (src == Src::kPortable) {
     coord = &port.data;
     // Shape-changing restore: re-route the reconstructed global canonical
@@ -407,16 +377,6 @@ Result<Server::RestoreInfo> StreamServer::RestoreFromCheckpoint(
     for (int k = 0; k < num_shards(); ++k) {
       windows_[k] = graph::SlidingWindow(std::move(rb.parts[k]));
     }
-    // Warm anchors arrive in the flat encoding (prev_labels indexes
-    // prev_l2g); re-express them as the entity→anchor map.
-    for (size_t i = 0; i < port.data.prev_l2g.size(); ++i) {
-      const Label pl = port.data.prev_labels[i];
-      if (pl == graph::kInvalidLabel ||
-          static_cast<size_t>(pl) >= port.data.prev_l2g.size()) {
-        continue;
-      }
-      set_warm_anchor(port.data.prev_l2g[i], port.data.prev_l2g[pl]);
-    }
     if (port.source_shards != num_shards()) {
       GLP_LOG(Info) << "resharding checkpoint: " << port.source_shards
                     << " -> " << num_shards() << " shards ("
@@ -426,14 +386,12 @@ Result<Server::RestoreInfo> StreamServer::RestoreFromCheckpoint(
   num_ticks_ = coord->tick;
   tick_schedule_primed_ = coord->tick_schedule_primed;
   next_tick_end_ = coord->next_tick_end;
-  have_prev_ = coord->have_prev;
   prev_confirmed_.clear();
   for (const auto& members : coord->prev_confirmed) {
     prev_confirmed_.insert(members);
   }
   last_checkpoint_tick_ = coord->tick;
   last_tick_wall_seconds_ = 0;
-  refresh_pending_ = false;
   inc_reuse_ok_ = false;
   records_valid_ = false;
   records_.clear();
@@ -537,6 +495,10 @@ Status StreamServer::Start() {
   if (started_) return Status::InvalidArgument("server already started");
   if (config_.tick.every_days <= 0) {
     return Status::InvalidArgument("tick_every_days must be positive");
+  }
+  if (config_.tick.warm_start) {
+    return Status::InvalidArgument(
+        "warm-start ticks were removed; ticks are cold or incremental");
   }
   if (config_.max_queue_batches == 0) {
     return Status::InvalidArgument("max_queue_batches must be >= 1");
@@ -814,9 +776,7 @@ void StreamServer::RecordError(const Status& status) {
 
 ServerStats StreamServer::stats() const {
   ServerStats s;
-  s.warm_ticks = static_cast<int64_t>(ins_.warm_ticks->Value());
-  s.cold_ticks = static_cast<int64_t>(ins_.cold_ticks->Value());
-  s.ticks = s.warm_ticks + s.cold_ticks;
+  s.ticks = static_cast<int64_t>(ins_.ticks->Value());
   s.batches_ingested = static_cast<int64_t>(ins_.batches_ingested->Value());
   s.edges_ingested = static_cast<int64_t>(ins_.edges_ingested->Value());
   s.ingest_blocked = static_cast<int64_t>(ins_.ingest_blocked->Value());
@@ -831,9 +791,6 @@ ServerStats StreamServer::stats() const {
   s.tick_retries = static_cast<int64_t>(ins_.tick_retries->Value());
   s.ticks_failed = static_cast<int64_t>(ins_.ticks_failed->Value());
   s.engine_fallbacks = static_cast<int64_t>(ins_.engine_fallbacks->Value());
-  s.warm_fallbacks = static_cast<int64_t>(ins_.warm_fallbacks->Value());
-  s.cold_refresh_deferred =
-      static_cast<int64_t>(ins_.cold_refresh_deferred->Value());
   s.checkpoints_written = static_cast<int64_t>(ins_.checkpoints_ok->Value());
   s.checkpoint_failures =
       static_cast<int64_t>(ins_.checkpoints_failed->Value());
@@ -845,14 +802,9 @@ ServerStats StreamServer::stats() const {
   s.tick_p50_seconds = ins_.tick_seconds->Quantile(0.50);
   s.tick_p99_seconds = ins_.tick_seconds->Quantile(0.99);
   s.tick_max_seconds = ins_.tick_seconds->MaxBound();
-  s.warm_avg_iterations =
-      s.warm_ticks == 0
-          ? 0
-          : static_cast<double>(ins_.warm_iterations->Value()) / s.warm_ticks;
-  s.cold_avg_iterations =
-      s.cold_ticks == 0
-          ? 0
-          : static_cast<double>(ins_.cold_iterations->Value()) / s.cold_ticks;
+  s.avg_iterations =
+      s.ticks == 0 ? 0
+                   : static_cast<double>(ins_.iterations->Value()) / s.ticks;
   s.last_ingest_lag_days = ins_.ingest_lag_days->Value();
   return s;
 }
@@ -1086,16 +1038,6 @@ Status StreamServer::DoWriteCheckpoint() {
       std::lock_guard<std::mutex> lk(mu_);
       cd.ingested_max_time = ingested_max_time_;
     }
-    if (have_prev_) {
-      // The warm anchors serialized as entity-ascending parallel arrays, so
-      // identical state writes identical bytes.
-      for (size_t e = 0; e < warm_anchor_.size(); ++e) {
-        if (warm_anchor_[e] == graph::kInvalidVertex) continue;
-        cd.prev_l2g.push_back(static_cast<VertexId>(e));
-        cd.prev_labels.push_back(warm_anchor_[e]);
-      }
-    }
-    cd.have_prev = !cd.prev_l2g.empty();
     cd.prev_confirmed.assign(prev_confirmed_.begin(), prev_confirmed_.end());
     // The coordinator file records the WAL replay floor: every batch at or
     // below consumed_wal_seq_ is already inside the shard windows above.
@@ -1255,10 +1197,10 @@ Status StreamServer::MigrateToShardCount(int target) {
   records_valid_ = false;
   records_.clear();
   if (config_.tick.incremental && inc_reuse_ok_ && tick_schedule_primed_) {
-    // Anchors carry over (warm anchors and anchor_of_ are global-id state,
-    // untouched by the re-partition), so reseating the tracker on the new
-    // windows keeps the next tick on the exact delta path. Other modes
-    // leave the new cursors unprimed: their next tick rebuilds.
+    // Anchors carry over (anchor_of_ is global-id state, untouched by the
+    // re-partition), so reseating the tracker on the new windows keeps the
+    // next tick on the exact delta path. Otherwise the new cursors stay
+    // unprimed and the next tick rebuilds.
     ReseatTracker();
   }
   last_reshard_tick_ = num_ticks_;
@@ -1544,10 +1486,9 @@ void StreamServer::RenumberByEntity() {
 
 void StreamServer::RunOwnerDetection(int o, double window_start,
                                      double window_end, bool degraded,
-                                     bool warm_wanted, bool use_delta) {
+                                     bool use_delta) {
   OwnerWork& ow = owners_[o];
   ow.ran = false;
-  ow.warm = false;
   ow.status = Status::OK();
   ow.outcome = TickOutcome::kOk;
   ow.wall_seconds = 0;
@@ -1590,22 +1531,6 @@ void StreamServer::RunOwnerDetection(int o, double window_start,
                ? ids.local_of[anchor]
                : graph::kInvalidVertex;
   };
-
-  // Warm init from the global anchor map: an entity resumes its previous
-  // label re-expressed as the anchor entity's local id, when the anchor
-  // landed in this owner's snapshot too; everything else starts singleton.
-  std::vector<Label>& warm_init = ow.warm_init;
-  warm_init.clear();
-  if (warm_wanted) {
-    warm_init.resize(ow.snap.local_to_global.size());
-    for (size_t v = 0; v < ow.snap.local_to_global.size(); ++v) {
-      const VertexId g = ow.snap.local_to_global[v];
-      const VertexId local = local_of_anchor(
-          g < warm_anchor_.size() ? warm_anchor_[g] : graph::kInvalidVertex);
-      warm_init[v] = static_cast<Label>(
-          local != graph::kInvalidVertex ? local : static_cast<VertexId>(v));
-    }
-  }
 
   // Incremental delta for this owner, from the detection thread's pre-exported
   // dirty flags (entity_dirty_, anchor_of_, records_, owner_records_ are
@@ -1652,9 +1577,9 @@ void StreamServer::RunOwnerDetection(int o, double window_start,
   }
 
   // Retry ladder, walked independently per owner shard: attempt 0 as
-  // configured, attempt 1 an unchanged retry, attempt 2 cold (the warm
-  // state is suspect), the final attempt on the fallback engine. Only
-  // transient Status codes walk the ladder.
+  // configured, attempt 1 an unchanged retry, later attempts the full
+  // (still canonical) detection without the delta, the final attempt on the
+  // fallback engine. Only transient Status codes walk the ladder.
   const int max_attempts = 1 + std::max(0, config_.resilience.max_tick_retries);
   Status failure;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
@@ -1664,11 +1589,6 @@ void StreamServer::RunOwnerDetection(int o, double window_start,
           std::min(cfg.lp.max_iterations, config_.resilience.degraded_iteration_cap);
       cfg.lp.stop_when_stable = true;
     }
-    const bool warm = warm_wanted && attempt <= 1;
-    if (warm_wanted && !warm) ins_.warm_fallbacks->Increment();
-    if (warm) cfg.lp.initial_labels = warm_init;
-    // Delta attempts track the warm-start retry shape; later attempts run
-    // the full (still canonical) detection.
     const bool with_delta = delta_ok && attempt <= 1;
     if (attempt == max_attempts - 1 && attempt > 0 &&
         config_.resilience.enable_engine_fallback) {
@@ -1693,7 +1613,6 @@ void StreamServer::RunOwnerDetection(int o, double window_start,
           window_start, window_end, with_delta ? &dd : nullptr);
       if (result.ok()) {
         ow.result = std::move(result).value();
-        ow.warm = warm;
         ow.ran = true;
         if (with_delta && !dd.extract_all) {
           ow.reused = static_cast<int64_t>(dd.reused.size());
@@ -1727,7 +1646,6 @@ void StreamServer::RunOwnerDetection(int o, double window_start,
     return;
   }
   ow.wall_seconds = owner_timer.Seconds();
-  owner_span.AddLabel("warm", ow.warm ? "1" : "0");
 }
 
 StreamServer::TickOutcome StreamServer::RunTick(
@@ -1761,27 +1679,11 @@ StreamServer::TickOutcome StreamServer::RunTick(
   } log_trace_scope;
   if (tick_trace_.sampled) glp::SetLogTraceId(tick_trace_.trace_id);
 
-  // Degradation ladder steps 1–2, fleet-wide: a previous-tick deadline
-  // overrun caps LP iterations and postpones a due cold refresh until
-  // pressure clears (incremental mode has no warm/refresh machinery —
-  // every tick is exact).
+  // Degradation ladder step 1, fleet-wide: a previous-tick deadline
+  // overrun caps LP iterations.
   const bool degraded =
       config_.resilience.tick_deadline_seconds > 0 &&
       last_tick_wall_seconds_ > config_.resilience.tick_deadline_seconds;
-  const bool warm_mode = config_.tick.warm_start && !config_.tick.incremental;
-  bool refresh_due = !config_.tick.incremental &&
-                     config_.tick.cold_refresh_every_ticks > 0 &&
-                     num_ticks_ % config_.tick.cold_refresh_every_ticks == 0;
-  if (warm_mode && have_prev_) {
-    if (degraded && (refresh_due || refresh_pending_)) {
-      if (refresh_due) ins_.cold_refresh_deferred->Increment();
-      refresh_pending_ = true;
-      refresh_due = false;
-    } else if (!degraded && refresh_pending_) {
-      refresh_due = true;
-      refresh_pending_ = false;
-    }
-  }
   if (degraded) ins_.degraded_ticks->Increment();
 
   glp::Timer build_timer;
@@ -1795,9 +1697,6 @@ StreamServer::TickOutcome StreamServer::RunTick(
   for (const graph::WindowRangeCursor& c : range_cursors_) {
     any_active |= c.hi() > c.lo();
   }
-
-  const bool warm_wanted = warm_mode && have_prev_ && !refresh_due &&
-                           any_active;
 
   if (any_active) {
     obs::ScopedSpan snapshot_span(collect ? &span_sink_ : nullptr, root_ctx,
@@ -1825,7 +1724,7 @@ StreamServer::TickOutcome StreamServer::RunTick(
     const auto detect_owners = [&](int64_t lo, int64_t hi) {
       for (int64_t o = lo; o < hi; ++o) {
         RunOwnerDetection(static_cast<int>(o), tr.window_start, end_time,
-                          degraded, warm_wanted, delta_ok);
+                          degraded, delta_ok);
       }
     };
     if (config_.profiler != nullptr) {
@@ -1867,8 +1766,6 @@ StreamServer::TickOutcome StreamServer::RunTick(
     if (worst == TickOutcome::kAbandoned) {
       RecordError(abandon_failure);
       ins_.ticks_failed->Increment();
-      have_prev_ = false;
-      warm_anchor_.clear();
       inc_reuse_ok_ = false;
       records_valid_ = false;
       records_.clear();
@@ -1880,15 +1777,11 @@ StreamServer::TickOutcome StreamServer::RunTick(
     }
 
     // Stitch the per-owner results into one TickResult in the window's
-    // canonical local-id space: per-vertex labels, cluster labels and
-    // warm-start labels all pass through the owners' gid maps, so the
-    // published tick is exactly the one a 1-shard server computes. A tick
-    // counts as warm only when every owner that ran kept its warm start (a
-    // mixed tick reports cold).
-    tr.warm = warm_wanted;
+    // canonical local-id space: per-vertex labels and cluster labels pass
+    // through the owners' gid maps, so the published tick is exactly the
+    // one a 1-shard server computes.
     tr.detection.build_seconds = build_seconds;
     tr.detection.lp.labels.resize(num_vertices);
-    if (warm_mode) warm_anchor_.assign(universe_, graph::kInvalidVertex);
     // Successful non-degraded incremental ticks refresh the carried-over
     // state from the published (canonical) per-owner output.
     const bool refresh_inc = config_.tick.incremental && !degraded;
@@ -1906,7 +1799,6 @@ StreamServer::TickOutcome StreamServer::RunTick(
       shard_ins_[o].inwindow_edges->Set(static_cast<double>(
           range_cursors_[o].hi() - range_cursors_[o].lo()));
       if (!ow.ran) continue;
-      tr.warm = tr.warm && ow.warm;
       shard_ins_[o].tick_seconds->Observe(ow.wall_seconds);
       tr.detection.window_vertices += ow.result.window_vertices;
       tr.detection.window_edges += ow.result.window_edges;
@@ -1945,9 +1837,6 @@ StreamServer::TickOutcome StreamServer::RunTick(
         const bool valid = static_cast<size_t>(labels[v]) < l2g.size();
         tr.detection.lp.labels[gid[v]] =
             valid ? gid[labels[v]] : graph::kInvalidLabel;
-        if (warm_mode && valid) {
-          warm_anchor_[l2g[v]] = l2g[labels[v]];
-        }
         if (refresh_inc) {
           anchor_of_[l2g[v]] = valid ? l2g[labels[v]] : graph::kInvalidVertex;
         }
@@ -1958,14 +1847,7 @@ StreamServer::TickOutcome StreamServer::RunTick(
         tr.detection.clusters.back().label = gid[c.label];
       }
       if (refresh_inc) reused_total += ow.reused;
-      if (config_.record_warm_labels && ow.warm) {
-        tr.warm_labels.resize(num_vertices);
-        for (size_t v = 0; v < ow.warm_init.size(); ++v) {
-          tr.warm_labels[gid[v]] = gid[ow.warm_init[v]];
-        }
-      }
     }
-    if (!tr.warm) tr.warm_labels.clear();
     // DetectOnSnapshot orders clusters by label; owner label spaces are
     // order-isomorphic to the window's, so one sort restores that order.
     std::sort(tr.detection.clusters.begin(), tr.detection.clusters.end(),
@@ -1988,12 +1870,9 @@ StreamServer::TickOutcome StreamServer::RunTick(
         records_.clear();
       }
     }
-    have_prev_ = true;
   } else {
     // Empty window: nothing to cluster; previously confirmed clusters all
     // expire below.
-    have_prev_ = false;
-    warm_anchor_.clear();
     inc_reuse_ok_ = false;
     records_valid_ = false;
     records_.clear();
@@ -2035,18 +1914,12 @@ StreamServer::TickOutcome StreamServer::RunTick(
   ins_.tick_seconds->ObserveWithExemplar(
       tr.tick_wall_seconds, tick_trace_.sampled ? tick_trace_.trace_id : 0);
   ObserveFreshness(tr);
-  if (tr.warm) {
-    ins_.warm_ticks->Increment();
-    ins_.warm_iterations->Increment(
-        static_cast<uint64_t>(tr.detection.lp.iterations));
-  } else {
-    ins_.cold_ticks->Increment();
-    ins_.cold_iterations->Increment(
-        static_cast<uint64_t>(tr.detection.lp.iterations));
-  }
+  ins_.ticks->Increment();
+  ins_.iterations->Increment(
+      static_cast<uint64_t>(tr.detection.lp.iterations));
   if (config_.profiler != nullptr) {
-    config_.profiler->RecordHostEvent(tr.warm ? "tick-warm" : "tick-cold",
-                                      host_start, tr.tick_wall_seconds);
+    config_.profiler->RecordHostEvent("tick", host_start,
+                                      tr.tick_wall_seconds);
   }
   ++num_ticks_;
   {

@@ -37,19 +37,14 @@
 // k-way merge of the shard windows' owned in-window edges (a single scan on
 // one shard) — interns each edge into its owner's snapshot edge list and
 // gives each entity its window id in that entity order, so every tick
-// publishes labels, clusters and warm-start labels in the window's
-// canonical local-id space, and a cold N-shard tick is identical to the
-// 1-shard tick — labels included. With one shard the owner snapshot is
-// the window snapshot and the map is the identity.
-//
-// Warm start anchors each entity's label to an entity id. With N > 1 an
-// anchor that lands in another owner's components is dropped (the entity
-// restarts as a singleton), so N-shard warm ticks can differ from 1-shard
-// warm ticks; cold and incremental ticks cannot (see DESIGN.md §4.9).
+// publishes labels and clusters in the window's canonical local-id space,
+// and an N-shard tick — cold or incremental — is identical to the 1-shard
+// tick, labels included (DESIGN.md §4.9). With one shard the owner
+// snapshot is the window snapshot and the map is the identity.
 //
 // Resilience: the serve.* failpoints fire on the routed-ingest/append/tick
 // paths (ticks once per owner shard), each owner detection walks the
-// transient-retry ladder (retry -> drop warm -> fallback engine), the
+// transient-retry ladder (retry -> full detection -> fallback engine), the
 // deadline degradation ladder arms per tick, and checkpoints are per-shard
 // files sealed by a manifest so the fleet restores atomically
 // (serve/checkpoint.h).
@@ -216,12 +211,10 @@ class StreamServer : public Server {
     graph::WindowSnapshot snap;
     /// gid[v] = local v's id in the window's canonical local-id space.
     std::vector<graph::VertexId> gid;
-    std::vector<graph::Label> warm_init;  ///< owner-local warm init
     pipeline::PipelineResult result;
     Status status;
     TickOutcome outcome = TickOutcome::kOk;
-    bool ran = false;   ///< detection produced a result this tick
-    bool warm = false;  ///< the successful attempt was warm-started
+    bool ran = false;  ///< detection produced a result this tick
     double wall_seconds = 0;
     int64_t num_components = 0;  ///< counted by InternWindowEdges
     int64_t reused = 0;  ///< clusters reused verbatim (incremental delta)
@@ -242,12 +235,12 @@ class StreamServer : public Server {
   /// its edges and tick_ids_ to match, and assigns the window ids (each
   /// entity's rank among all owners' entities).
   void RenumberByEntity();
-  /// Builds owner o's snapshot (+ warm labels) from its interned edges, and
-  /// runs detection through the retry/degradation ladder. With `use_delta`
-  /// set, builds a pipeline::DetectDelta from the fleet tracker's exported
-  /// dirty flags so LP runs only on this owner's dirty components.
+  /// Builds owner o's snapshot from its interned edges, and runs detection
+  /// through the retry/degradation ladder. With `use_delta` set, builds a
+  /// pipeline::DetectDelta from the fleet tracker's exported dirty flags so
+  /// LP runs only on this owner's dirty components.
   void RunOwnerDetection(int o, double window_start, double window_end,
-                         bool degraded, bool warm_wanted, bool use_delta);
+                         bool degraded, bool use_delta);
   /// Advances every shard's range cursor and updates the fleet-wide
   /// union-find — by per-shard deltas when all are exact (and the
   /// serve.incremental_rebuild failpoint stays quiet), by a full
@@ -342,16 +335,10 @@ class StreamServer : public Server {
   double next_tick_end_ = 0;
   int64_t num_ticks_ = 0;
   double last_tick_wall_seconds_ = 0;
-  bool refresh_pending_ = false;
   int64_t last_checkpoint_tick_ = -1;
   /// Highest WAL sequence consumed into the shard windows (detection
   /// thread); fleet checkpoints record it, pruning runs against it.
   uint64_t consumed_wal_seq_ = 0;
-  bool have_prev_ = false;
-  /// Warm anchors: warm_anchor_[entity] = the entity whose local id was
-  /// its label on the previous tick (the global re-expression of prev
-  /// labels), kInvalidVertex for none.
-  std::vector<graph::VertexId> warm_anchor_;
   std::set<std::vector<graph::VertexId>> prev_confirmed_;
 
   // Tick scratch (detection thread + pool workers during a tick).
@@ -426,10 +413,8 @@ class StreamServer : public Server {
   obs::MetricRegistry* registry_ = nullptr;
   struct Instruments {
     obs::Histogram* tick_seconds;
-    obs::Counter* warm_ticks;
-    obs::Counter* cold_ticks;
-    obs::Counter* warm_iterations;
-    obs::Counter* cold_iterations;
+    obs::Counter* ticks;
+    obs::Counter* iterations;
     obs::Counter* batches_ingested;
     obs::Counter* edges_ingested;
     obs::Counter* ingest_blocked;
@@ -445,8 +430,6 @@ class StreamServer : public Server {
     obs::Counter* tick_retries;
     obs::Counter* ticks_failed;
     obs::Counter* engine_fallbacks;
-    obs::Counter* warm_fallbacks;
-    obs::Counter* cold_refresh_deferred;
     obs::Counter* checkpoints_ok;
     obs::Counter* checkpoints_failed;
     obs::Gauge* dirty_components;

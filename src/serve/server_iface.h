@@ -66,8 +66,6 @@ struct TickResult {
   int64_t tick = 0;
   double window_start = 0;
   double window_end = 0;
-  /// Whether this tick's LP was warm-started from the previous tick.
-  bool warm = false;
 
   /// Full pipeline output (clusters, metrics, LP cost accounting). Labels
   /// are in the window's canonical local-id space whatever the shard
@@ -86,10 +84,6 @@ struct TickResult {
   /// Newest ingested timestamp minus this window's end: how far detection
   /// trails the stream head.
   double ingest_lag_days = 0;
-
-  /// The warm-start initial labels used, in the same local-id space (only
-  /// when ServerConfig::record_warm_labels; empty on cold ticks).
-  std::vector<graph::Label> warm_labels;
 };
 
 /// Aggregate serving statistics — a point-in-time view assembled from the
@@ -97,8 +91,6 @@ struct TickResult {
 /// struct exists for programmatic consumers and the JSON dump).
 struct ServerStats {
   int64_t ticks = 0;
-  int64_t warm_ticks = 0;
-  int64_t cold_ticks = 0;
   int64_t batches_ingested = 0;
   int64_t edges_ingested = 0;
   /// Times Ingest() had to block on a full queue.
@@ -113,8 +105,6 @@ struct ServerStats {
   int64_t tick_retries = 0;           ///< transient-failure retry attempts
   int64_t ticks_failed = 0;           ///< ticks abandoned after all retries
   int64_t engine_fallbacks = 0;       ///< retries on the fallback engine
-  int64_t warm_fallbacks = 0;         ///< retries that dropped warm start
-  int64_t cold_refresh_deferred = 0;  ///< refreshes postponed under pressure
   int64_t checkpoints_written = 0;
   int64_t checkpoint_failures = 0;
 
@@ -126,8 +116,7 @@ struct ServerStats {
   double tick_p50_seconds = 0;
   double tick_p99_seconds = 0;
   double tick_max_seconds = 0;
-  double warm_avg_iterations = 0;
-  double cold_avg_iterations = 0;
+  double avg_iterations = 0;  ///< LP iterations per tick
   double last_ingest_lag_days = 0;
 
   std::string ToJson() const;
@@ -167,7 +156,7 @@ class Server {
   /// tick order). Must be called before Start().
   virtual void Subscribe(Subscriber subscriber) = 0;
 
-  /// Restores window, tick schedule, and warm-start state from a
+  /// Restores window, tick schedule, and incremental state from a
   /// checkpoint (file/manifest path, or the newest loadable checkpoint in
   /// a directory). Must be called before Start(). Replaying the stream's
   /// remaining edges afterwards produces tick output identical to an

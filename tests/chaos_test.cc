@@ -157,7 +157,6 @@ TEST_F(ChaosTest, TransientFaultsAreRetriedWithoutOutputDivergence) {
   const auto stream = pipeline::GenerateTransactions(SmallStreamConfig());
   const auto ordered = CanonicalEdges(stream);
   ServerConfig cfg = BaseServerConfig(stream);
-  cfg.tick.warm_start = false;
 
   // Baseline BEFORE arming anything: the failure-free output.
   const auto want = RunAndObserve(cfg, ordered);
@@ -203,7 +202,6 @@ TEST_F(ChaosTest, PersistentEngineFaultFallsBackToCpu) {
   const auto ordered = CanonicalEdges(stream);
   ServerConfig cfg = BaseServerConfig(stream);
   cfg.detect.engine = lp::EngineKind::kGlp;  // simulated-GPU engine
-  cfg.tick.warm_start = false;
   cfg.resilience.enable_engine_fallback = true;
   cfg.resilience.fallback_engine = lp::EngineKind::kSeq;
 
@@ -321,7 +319,8 @@ TEST_F(ChaosTest, KillRestoreReplayMatchesUninterruptedRun) {
   const std::string dir = MakeTempDir("restore");
 
   ServerConfig cfg = BaseServerConfig(stream);
-  cfg.tick.warm_start = true;  // checkpoint must carry warm state faithfully
+  // Incremental, so the checkpoint must carry the label anchors faithfully.
+  cfg.tick.incremental = true;
 
   // Uninterrupted baseline.
   const auto want = RunAndObserve(cfg, ordered);
@@ -398,7 +397,6 @@ TEST_F(ChaosTest, IncrementalKillRestoreReplayMatchesUninterruptedRun) {
   const std::string dir = MakeTempDir("inc_restore");
 
   ServerConfig cold = BaseServerConfig(stream);
-  cold.tick.warm_start = false;
   ServerConfig inc = cold;
   inc.tick.incremental = true;
 
@@ -458,7 +456,6 @@ TEST_F(ChaosTest, IncrementalRebuildFailpointKeepsOutputExact) {
   const auto stream = pipeline::GenerateTransactions(SmallStreamConfig());
   const auto ordered = CanonicalEdges(stream);
   ServerConfig cold = BaseServerConfig(stream);
-  cold.tick.warm_start = false;
 
   // Baseline BEFORE arming anything: the failure-free cold output.
   const auto want = RunAndObserve(cold, ordered);
@@ -568,9 +565,6 @@ CheckpointData SampleCheckpoint() {
   data.next_tick_end = 35.0;
   data.ingested_max_time = 36.5;
   data.edges = {{1, 2, 0.5}, {2, 3, 1.25}, {1, 3, 2.0}};
-  data.have_prev = true;
-  data.prev_l2g = {10, 20, 30};
-  data.prev_labels = {0, 0, 2};
   data.prev_confirmed = {{10, 20}, {30, 40, 50}};
   data.has_incremental = true;
   data.inc_entities = {1, 2, 3};
@@ -597,11 +591,67 @@ TEST_F(ChaosTest, CheckpointRoundTripsExactly) {
     EXPECT_EQ(got.edges[i].dst, data.edges[i].dst);
     EXPECT_EQ(got.edges[i].time, data.edges[i].time);
   }
-  EXPECT_EQ(got.have_prev, data.have_prev);
-  EXPECT_EQ(got.prev_l2g, data.prev_l2g);
-  EXPECT_EQ(got.prev_labels, data.prev_labels);
   EXPECT_EQ(got.prev_confirmed, data.prev_confirmed);
   EXPECT_EQ(got.has_incremental, data.has_incremental);
+  EXPECT_EQ(got.inc_entities, data.inc_entities);
+  EXPECT_EQ(got.inc_anchors, data.inc_anchors);
+}
+
+// Files from builds that still ran warm-start ticks carry warm anchors in
+// the two arrays after `edges` and set flag bit 2. Those fields are now
+// reserved: such a file must load with every other field intact.
+TEST_F(ChaosTest, CheckpointWithLegacyWarmAnchorsStillLoads) {
+  const std::string dir = MakeTempDir("legacy_warm");
+  const std::string path = dir + "/" + CheckpointFileName(7);
+  const CheckpointData data = SampleCheckpoint();
+
+  // Format v4, hand-encoded: magic, version, flags, header, edges, the two
+  // warm arrays, confirmed clusters, incremental anchors, WAL position,
+  // then an FNV-1a checksum over everything before it.
+  std::string bytes;
+  auto pod = [&bytes](const auto& v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  auto vec = [&pod, &bytes](const auto& v) {
+    pod(static_cast<uint64_t>(v.size()));
+    bytes.append(reinterpret_cast<const char*>(v.data()),
+                 v.size() * sizeof(v[0]));
+  };
+  pod(uint64_t{0x31544b5043504c47ULL});  // "GLPCPKT1"
+  pod(uint32_t{4});
+  pod(uint32_t{1u | 2u | 4u});  // primed, warm anchors, incremental
+  pod(data.tick);
+  pod(data.next_tick_end);
+  pod(data.ingested_max_time);
+  vec(data.edges);
+  vec(std::vector<VertexId>{10, 20, 30});
+  vec(std::vector<graph::Label>{0, 0, 2});
+  pod(static_cast<uint64_t>(data.prev_confirmed.size()));
+  for (const auto& members : data.prev_confirmed) vec(members);
+  vec(data.inc_entities);
+  vec(data.inc_anchors);
+  pod(data.wal_seq);
+  pod(data.wal_epoch);
+  uint64_t sum = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    sum ^= static_cast<unsigned char>(c);
+    sum *= 0x100000001b3ULL;
+  }
+  pod(sum);
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  auto loaded = LoadCheckpoint(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const CheckpointData& got = loaded.value();
+  EXPECT_EQ(got.tick, data.tick);
+  EXPECT_TRUE(got.tick_schedule_primed);
+  EXPECT_EQ(got.next_tick_end, data.next_tick_end);
+  EXPECT_EQ(got.edges.size(), data.edges.size());
+  EXPECT_EQ(got.prev_confirmed, data.prev_confirmed);
+  EXPECT_TRUE(got.has_incremental);
   EXPECT_EQ(got.inc_entities, data.inc_entities);
   EXPECT_EQ(got.inc_anchors, data.inc_anchors);
 }

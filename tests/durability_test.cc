@@ -504,7 +504,8 @@ void KillRestoreReplayIsExact(DurabilityTest* fixture, int num_shards,
                        : fixture->MakeTempDir(tag + "_ckpt_unused");
 
   ServerConfig cfg = BaseServerConfig(stream);
-  cfg.tick.warm_start = true;
+  // Incremental, so a restore must also carry the label anchors.
+  cfg.tick.incremental = true;
 
   const auto want = RunAndObserve(cfg, num_shards, ordered);
   ASSERT_GE(want.size(), 6u);

@@ -482,7 +482,6 @@ class ServeExactnessTest : public ::testing::Test {
     cfg_.seeds = stream_.seeds;
     cfg_.ground_truth = &stream_;
     cfg_.tick.every_days = 5.0;
-    cfg_.tick.warm_start = false;
     cfg_.tick.incremental = true;
   }
   void TearDown() override {

@@ -110,8 +110,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest, ::testing::Range(0, 24));
 /// Append (random batch sizes, occasionally shuffled out of order) plus
 /// cursor advancement must produce snapshots identical — same local-id
 /// assignment, same CSR — to a from-scratch SlidingWindow over the whole
-/// stream. This is what makes the serving layer's warm-start mapping and
-/// its one-shot equivalence guarantee sound.
+/// stream. This is what makes the serving layer's one-shot equivalence
+/// guarantee sound.
 class WindowFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(WindowFuzzTest, IncrementalCursorMatchesFromScratchSnapshots) {

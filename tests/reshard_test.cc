@@ -77,7 +77,6 @@ ServerConfig ColdServerConfig(const pipeline::TransactionStream& stream) {
   cfg.seeds = stream.seeds;
   cfg.ground_truth = &stream;
   cfg.tick.every_days = 5.0;
-  cfg.tick.warm_start = false;
   cfg.resilience.retry_backoff_ms = 0.1;
   cfg.resilience.max_retry_backoff_ms = 1.0;
   return cfg;

@@ -1,6 +1,6 @@
 // glp::serve streaming-server tests: one-shot equivalence (the CI
-// acceptance gate), warm-start reproducibility, ingest backpressure, and
-// cooperative cancellation.
+// acceptance gate), engine-level restart reproducibility, ingest
+// backpressure, and cooperative cancellation.
 
 #include <algorithm>
 #include <atomic>
@@ -77,7 +77,6 @@ TEST(ServeTest, ColdServerMatchesOneShotPipeline) {
   cfg.seeds = stream.seeds;
   cfg.ground_truth = &stream;
   cfg.tick.every_days = 5.0;
-  cfg.tick.warm_start = false;
 
   std::vector<TickResult> ticks;
   StreamServer server(cfg);
@@ -94,7 +93,6 @@ TEST(ServeTest, ColdServerMatchesOneShotPipeline) {
   // Every tick must reproduce an equivalent one-shot pipeline run exactly.
   pipeline::FraudDetectionPipeline one_shot(&stream);
   for (const TickResult& t : ticks) {
-    EXPECT_FALSE(t.warm);
     pipeline::PipelineConfig pc = cfg.detect;
     pc.end_day = t.window_end;
     auto want = one_shot.Run(pc);
@@ -107,52 +105,6 @@ TEST(ServeTest, ColdServerMatchesOneShotPipeline) {
                        t.window_end);
     EXPECT_EQ(t.detection.confirmed_metrics.true_positives,
               want.value().confirmed_metrics.true_positives);
-  }
-}
-
-TEST(ServeTest, WarmTicksMatchWarmReplayedOneShot) {
-  const auto stream = pipeline::GenerateTransactions(SmallStreamConfig());
-
-  ServerConfig cfg;
-  cfg.detect.window_days = 15;
-  cfg.detect.engine = lp::EngineKind::kSeq;
-  cfg.detect.lp.stop_when_stable = true;
-  cfg.detect.lp.max_iterations = 50;
-  cfg.seeds = stream.seeds;
-  cfg.tick.every_days = 5.0;
-  cfg.tick.warm_start = true;
-  cfg.record_warm_labels = true;
-
-  std::vector<TickResult> ticks;
-  StreamServer server(cfg);
-  server.Subscribe([&](const TickResult& t) { ticks.push_back(t); });
-  ASSERT_TRUE(server.Start().ok());
-  for (auto& batch : BatchStream(stream, 1000)) {
-    ASSERT_TRUE(server.Ingest(std::move(batch)));
-  }
-  server.Flush();
-  server.Stop();
-  ASSERT_TRUE(server.last_error().ok()) << server.last_error().ToString();
-  ASSERT_GE(ticks.size(), 4u);
-  EXPECT_TRUE(std::any_of(ticks.begin(), ticks.end(),
-                          [](const TickResult& t) { return t.warm; }));
-
-  // Replaying each tick's warm-start labels through a one-shot pipeline run
-  // (the unified config exposes initial_labels) must reproduce the server's
-  // output exactly — the acceptance equivalence for warm mode.
-  pipeline::FraudDetectionPipeline one_shot(&stream);
-  for (const TickResult& t : ticks) {
-    if (t.detection.window_vertices == 0) continue;
-    pipeline::PipelineConfig pc = cfg.detect;
-    pc.end_day = t.window_end;
-    pc.lp.initial_labels = t.warm_labels;
-    auto want = one_shot.Run(pc);
-    ASSERT_TRUE(want.ok());
-    EXPECT_EQ(t.detection.lp.labels, want.value().lp.labels)
-        << "tick end " << t.window_end;
-    EXPECT_EQ(t.detection.lp.iterations, want.value().lp.iterations);
-    ExpectSameClusters(t.detection.clusters, want.value().clusters,
-                       t.window_end);
   }
 }
 
@@ -191,7 +143,6 @@ TEST(ServeTest, BackpressureBoundsIngestQueue) {
   cfg.detect.lp.max_iterations = 5;
   cfg.seeds = stream.seeds;
   cfg.tick.every_days = 0.25;  // nearly every batch crosses a boundary
-  cfg.tick.warm_start = true;
   cfg.max_queue_batches = 2;
 
   StreamServer server(cfg);
@@ -333,7 +284,6 @@ TEST(ServeTest, ShuffledBatchesMatchCanonicalOrderIngest) {
   cfg.detect.engine = lp::EngineKind::kSeq;
   cfg.seeds = stream.seeds;
   cfg.tick.every_days = 5.0;
-  cfg.tick.warm_start = false;
 
   // Baseline: canonical within-batch order.
   std::vector<TickResult> want;
@@ -469,7 +419,6 @@ ServerConfig IncrementalBaseConfig(const pipeline::TransactionStream& stream) {
   cfg.seeds = stream.seeds;
   cfg.ground_truth = &stream;
   cfg.tick.every_days = 2.0;
-  cfg.tick.warm_start = false;
   return cfg;
 }
 
@@ -561,7 +510,6 @@ TEST(ServeTest, IncrementalReusesCleanIslandClusters) {
   cold.detect.lp.max_iterations = 20;
   cold.seeds = stream.seeds;
   cold.tick.every_days = 1.0;
-  cold.tick.warm_start = false;
   ServerConfig inc = cold;
   inc.tick.incremental = true;
 
@@ -601,6 +549,18 @@ TEST(ServeTest, IncrementalStartEnforcesExactnessPreconditions) {
   StreamServer ok(cfg);
   EXPECT_TRUE(ok.Start().ok());
   ok.Stop();
+}
+
+// Warm-start ticks were removed; the field that selected them survives
+// only for one benchmark caller, so Start() refuses it rather than
+// silently running cold.
+TEST(ServeTest, StartRejectsRemovedWarmStartMode) {
+  ServerConfig cfg;
+  cfg.tick.warm_start = true;
+  StreamServer server(cfg);
+  const Status st = server.Start();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_FALSE(server.running());
 }
 
 // A non-positive shard count is a caller bug (miscomputed fleet size,

@@ -61,9 +61,9 @@ std::vector<std::vector<TimedEdge>> BatchEdges(
   return batches;
 }
 
-/// Cold, fixed-iteration configuration: with warm start off and a fixed
-/// synchronous iteration count, per-component LP is order-isomorphic to the
-/// global run, so shard-count equivalence is exact (see serve/server.h).
+/// Cold, fixed-iteration configuration: with a fixed synchronous iteration
+/// count, per-component LP is order-isomorphic to the global run, so
+/// shard-count equivalence is exact (see serve/server.h).
 ServerConfig ColdServerConfig(const pipeline::TransactionStream& stream) {
   ServerConfig cfg;
   cfg.detect.window_days = 15;
@@ -73,7 +73,6 @@ ServerConfig ColdServerConfig(const pipeline::TransactionStream& stream) {
   cfg.seeds = stream.seeds;
   cfg.ground_truth = &stream;
   cfg.tick.every_days = 5.0;
-  cfg.tick.warm_start = false;
   cfg.resilience.retry_backoff_ms = 0.1;
   cfg.resilience.max_retry_backoff_ms = 1.0;
   return cfg;
@@ -245,7 +244,6 @@ TEST_F(ShardTest, ColdShardedReplayMatchesSingleShardExactly) {
     expect_same(got, want);
     EXPECT_EQ(stats.ticks, static_cast<int64_t>(got.size()));
     EXPECT_EQ(stats.ticks_failed, 0);
-    EXPECT_EQ(stats.cold_ticks, stats.ticks);
     EXPECT_EQ(components, want_components);
   }
 
@@ -364,6 +362,40 @@ TEST_F(ShardTest, ShardedConfirmedDiffsReplayToCurrentSet) {
   server.Stop();
   ASSERT_TRUE(server.last_error().ok()) << server.last_error().ToString();
   EXPECT_TRUE(saw_confirmed);
+}
+
+// A server built from a default ServerConfig (no tick policy set: cold
+// ticks on the default cadence and engine) publishes the same confirmed
+// diffs, tick for tick, on 3 shards as on 1.
+TEST_F(ShardTest, DefaultConfigShardedDiffsMatchSingleShard) {
+  const auto stream = pipeline::GenerateTransactions(SmallStreamConfig());
+  const auto ordered = CanonicalEdges(stream);
+  ServerConfig cfg;
+  cfg.seeds = stream.seeds;
+  using Diffs = std::pair<std::vector<std::vector<VertexId>>,
+                          std::vector<std::vector<VertexId>>>;
+  auto run = [&](int num_shards) {
+    std::map<int64_t, Diffs> out;
+    StreamServer server(cfg, num_shards);
+    server.Subscribe([&](const TickResult& t) {
+      out[TickKey(t.window_end)] = {t.new_confirmed, t.expired_confirmed};
+    });
+    EXPECT_TRUE(server.Start().ok());
+    for (auto& batch : BatchEdges(ordered, 1000)) {
+      EXPECT_TRUE(server.Ingest(std::move(batch)));
+    }
+    server.Flush();
+    server.Stop();
+    EXPECT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+    return out;
+  };
+
+  const auto want = run(1);
+  ASSERT_GE(want.size(), 4u);
+  size_t diffs = 0;
+  for (const auto& [key, d] : want) diffs += d.first.size() + d.second.size();
+  EXPECT_GT(diffs, 0u);
+  EXPECT_EQ(run(3), want);
 }
 
 // Equivalence must survive chaos: transient faults on the per-owner tick

@@ -148,7 +148,6 @@ ServerConfig ColdServerConfig(const pipeline::TransactionStream& stream) {
   cfg.seeds = stream.seeds;
   cfg.ground_truth = &stream;
   cfg.tick.every_days = 5.0;
-  cfg.tick.warm_start = false;
   return cfg;
 }
 

@@ -61,8 +61,6 @@ struct Args {
   std::string engine = "glp";
   int iterations = 20;
   uint64_t seed = 11;
-  int64_t refresh = 32;
-  bool warm = true;
   bool incremental = false;
   bool quiet = false;
   bool profile = false;
@@ -118,13 +116,10 @@ void Usage() {
       "                 (default 0 = ingest at maximum speed)\n"
       "  --engine <e>   seq | tg | ligra | omp | gsort | ghash | glp\n"
       "  --iters <n>    LP iteration cap per tick (default 20)\n"
-      "  --cold         disable warm starts (every tick from scratch)\n"
       "  --incremental  LP only on the components the window advance\n"
       "                 changed (dirty in the cross-tick union-find), clean\n"
       "                 clusters reused verbatim (DESIGN.md §4.10; output\n"
       "                 identical to a cold replay; needs an even --iters)\n"
-      "  --refresh <n>  cold-refresh every n ticks (counters warm-start\n"
-      "                 label-granularity drift; 0 = never; default 32)\n"
       "  --shards <n>   hash-partition entities across n server shards; each\n"
       "                 component is detected on one owner shard (default 1)\n"
       "  --profile      per-phase profile of the serving run\n"
@@ -226,8 +221,6 @@ bool Parse(int argc, char** argv, Args* args) {
       args->iterations = std::atoi(next());
     } else if (!std::strcmp(argv[i], "--seed")) {
       args->seed = std::strtoull(next(), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--refresh")) {
-      args->refresh = std::atoll(next());
     } else if (!std::strcmp(argv[i], "--shards")) {
       args->shards = std::atoi(next());
     } else if (!std::strncmp(argv[i], "--shards=", 9)) {
@@ -294,8 +287,6 @@ bool Parse(int argc, char** argv, Args* args) {
       args->trace_out = next();
     } else if (!std::strcmp(argv[i], "--restore")) {
       args->restore = true;
-    } else if (!std::strcmp(argv[i], "--cold")) {
-      args->warm = false;
     } else if (!std::strcmp(argv[i], "--incremental")) {
       args->incremental = true;
     } else if (!std::strcmp(argv[i], "--profile")) {
@@ -366,11 +357,11 @@ int RunReplay(serve::Server& server, const Args& args,
       int confirmed = 0;
       for (const auto& c : t.detection.clusters) confirmed += c.confirmed;
       std::printf(
-          "tick %3lld  window [%5.1f, %5.1f)  %-4s  %7u v %9lld e  "
+          "tick %3lld  window [%5.1f, %5.1f)  %7u v %9lld e  "
           "lp %2d iters  clusters %3zu (%d confirmed, +%zu -%zu)  "
           "f1 %.3f  %6.2f ms  lag %.2f d\n",
           static_cast<long long>(t.tick), t.window_start, t.window_end,
-          t.warm ? "warm" : "cold", t.detection.window_vertices,
+          t.detection.window_vertices,
           static_cast<long long>(t.detection.window_edges),
           t.detection.lp.iterations, t.detection.clusters.size(), confirmed,
           t.new_confirmed.size(), t.expired_confirmed.size(),
@@ -690,9 +681,7 @@ int main(int argc, char** argv) {
   cfg.seeds = stream.seeds;
   cfg.ground_truth = &stream;
   cfg.tick.every_days = args.tick_every;
-  cfg.tick.warm_start = args.warm;
   cfg.tick.incremental = args.incremental;
-  cfg.tick.cold_refresh_every_ticks = args.refresh;
   cfg.resilience.tick_deadline_seconds = args.tick_deadline;
   cfg.reshard.auto_rebalance = args.reshard_auto;
   cfg.reshard.grow_edges_per_shard = args.reshard_grow;
